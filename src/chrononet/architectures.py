@@ -50,13 +50,13 @@ class ModelConfig:
 
     architecture: str
     input_channels: int = 22
-    conv_blocks: list[ConvBlockSpec] = field(default_factory=list)
+    conv_blocks: list[ConvBlockSpec] | None = None  # None: default_conv_blocks
     gru_widths: list[int] = field(default_factory=lambda: [32, 32, 32, 32])
     num_classes: int = 2
     precision: str = "f32"
 
     def __post_init__(self):
-        if not self.conv_blocks:
+        if self.conv_blocks is None:
             self.conv_blocks = default_conv_blocks(self.architecture)
 
     @property
@@ -129,9 +129,6 @@ class Model:
         out.append(("readout.W", self.readout_W))
         out.append(("readout.b", self.readout_b))
         return out
-
-    def forward(self, batch: Tensor) -> Tensor:
-        return forward(self, batch)
 
 
 def build(config: ModelConfig, prng: Prng) -> Model:

@@ -189,7 +189,12 @@ def load_checkpoint(path) -> Checkpoint:
     params: list[tuple[str, np.ndarray]] = []
     for i in range(n_params):
         name_len = r.unpack("<H", f"name length of parameter {i}")
-        name = r.take(name_len, f"name of parameter {i}").decode()
+        name_offset = r.pos
+        try:
+            name = r.take(name_len, f"name of parameter {i}").decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"name of parameter {i} is not UTF-8",
+                              offset=name_offset) from None
         rank = r.unpack("<B", f"rank of {name}")
         shape = tuple(r.unpack("<Q", f"extent of {name}") for _ in range(rank))
         count = 1

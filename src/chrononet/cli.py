@@ -13,17 +13,15 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import gradcheck as gc
-from .architectures import ARCHITECTURES, ConvBlockSpec, ModelConfig, build, forward
+from .architectures import ARCHITECTURES, ModelConfig, build, default_conv_blocks
 from .data import container, montage, preprocess, synthetic
 from .data.edf import read_edf
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericError, ShapeError)
 from .tensor import Prng
-from .training import (TrainConfig, evaluate, format_metrics_row, cross_validate,
+from .training import (TrainConfig, format_metrics_row, cross_validate,
                        predict, summarize_folds, train, write_metrics_csv,
                        METRICS_HEADER)
-
-_PRECISIONS = {"f32": "f32", "f64": "f64", "train": "f32", "check": "f64"}
 
 
 class _UsageError(Exception):
@@ -57,7 +55,7 @@ def _bool(text: str) -> bool:
 # Casters for config-file values, keyed by argparse destination name.
 _CASTERS = {
     "arch": str, "kernels": _int_list, "filters": int, "stride": int, "blocks": int,
-    "gru_widths": _int_list, "classes": int, "precision": str, "lr": float,
+    "gru_widths": _int_list, "classes": int, "lr": float,
     "batch": int, "epochs": int, "seed": int, "shuffle": _bool, "grad_clip": float,
     "repeats": int, "jobs": int, "k": int, "tol": float,
     "data": str, "test": str, "out": str, "checkpoint": str,
@@ -97,6 +95,15 @@ def _fill_defaults(args, defaults: dict) -> None:
             setattr(args, key, value)
 
 
+def _given(args, **fields) -> dict:
+    """Keyword arguments for the flags the user set, keyed by field name.
+
+    Unset flags are left out, so the library's own defaults apply.
+    """
+    return {field: getattr(args, dest) for field, dest in fields.items()
+            if getattr(args, dest) is not None}
+
+
 def _model_args(parser) -> None:
     parser.add_argument("--arch", choices=ARCHITECTURES)
     parser.add_argument("--kernels", type=_int_list,
@@ -106,7 +113,6 @@ def _model_args(parser) -> None:
     parser.add_argument("--blocks", type=int, help="number of conv blocks")
     parser.add_argument("--gru-widths", type=_int_list, dest="gru_widths")
     parser.add_argument("--classes", type=int)
-    parser.add_argument("--precision", choices=sorted(_PRECISIONS))
 
 
 def _train_args(parser) -> None:
@@ -118,33 +124,26 @@ def _train_args(parser) -> None:
     parser.add_argument("--grad-clip", type=float, dest="grad_clip")
 
 
-_MODEL_DEFAULTS = {"arch": "chrononet", "filters": 32, "stride": 2, "blocks": 3,
-                   "gru_widths": (32, 32, 32, 32), "precision": "f32"}
-_TRAIN_DEFAULTS = {"lr": 0.001, "batch": 64, "epochs": 500, "seed": 0, "shuffle": True}
-
-
 def _model_config(args, input_channels: int, num_classes: int) -> ModelConfig:
-    kernels = args.kernels
-    if kernels is None:
-        kernels = (2, 4, 8) if args.arch in ("icrnn", "chrononet") else (4,)
-    specs = [ConvBlockSpec(tuple(kernels), args.filters, args.stride)
-             for _ in range(args.blocks)]
+    arch = "chrononet" if args.arch is None else args.arch
+    blocks = default_conv_blocks(arch)
+    count = len(blocks) if args.blocks is None else args.blocks
+    overrides = _given(args, kernel_lengths="kernels", filters_per_kernel="filters",
+                       stride="stride")
+    widths = {} if args.gru_widths is None else {"gru_widths": list(args.gru_widths)}
     return ModelConfig(
-        architecture=args.arch,
+        architecture=arch,
         input_channels=input_channels,
-        conv_blocks=specs,
-        gru_widths=list(args.gru_widths),
+        conv_blocks=[replace(blocks[0], **overrides) for _ in range(count)],
         num_classes=num_classes,
-        precision=_PRECISIONS[args.precision],
+        **widths,
     ).validate()
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-        seed=args.seed, shuffle=args.shuffle, precision=_PRECISIONS[args.precision],
-        grad_clip=args.grad_clip,
-    ).validate()
+    return TrainConfig(**_given(
+        args, learning_rate="lr", batch_size="batch", epochs="epochs", seed="seed",
+        shuffle="shuffle", grad_clip="grad_clip")).validate()
 
 
 def _infer_classes(args, labels: np.ndarray) -> int:
@@ -157,14 +156,22 @@ def _infer_classes(args, labels: np.ndarray) -> int:
 # Commands
 
 
+def _check_channels(expected: int, dataset, path) -> None:
+    channels = dataset.samples.shape[1]
+    if channels != expected:
+        raise ConfigError(f"model expects {expected} channels, {path} has {channels}")
+
+
 def cmd_train(args) -> int:
-    _fill_defaults(args, {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS,
-                          "repeats": 1, "checkpoint": "model.cncp",
+    _fill_defaults(args, {"repeats": 1, "checkpoint": "model.cncp",
                           "metrics": "metrics.csv"})
     dataset = container.import_dataset(args.data)
-    test_set = container.import_dataset(args.test) if args.test else None
     num_classes = _infer_classes(args, dataset.labels)
     model_cfg = _model_config(args, dataset.samples.shape[1], num_classes)
+    test_set = None
+    if args.test:
+        test_set = container.import_dataset(args.test)
+        _check_channels(model_cfg.input_channels, test_set, args.test)
     base_cfg = _train_config(args)
 
     final_test_accs = []
@@ -201,16 +208,16 @@ def cmd_eval(args) -> int:
     snapshot = ckpt.load_checkpoint(args.checkpoint)
     model = ckpt.model_from_checkpoint(snapshot)
     dataset = container.import_dataset(args.data)
-    channels = dataset.samples.shape[1]
-    if channels != model.config.input_channels:
-        raise ConfigError(f"checkpoint expects {model.config.input_channels} channels, "
-                          f"dataset has {channels}")
-    preds = predict(model, dataset.samples)
-    accuracy = float((preds == dataset.labels).mean()) if len(dataset) else 0.0
+    _check_channels(model.config.input_channels, dataset, args.data)
     if len(dataset) == 0:
         raise ContractError("cannot evaluate an empty dataset")
-    print(f"accuracy {accuracy:.4f}")
     k = model.config.num_classes
+    if dataset.labels.max() >= k:
+        raise DataError(f"{args.data}: label {dataset.labels.max()} outside the "
+                        f"checkpoint's {k} classes")
+    preds = predict(model, dataset.samples)
+    accuracy = float((preds == dataset.labels).mean())
+    print(f"accuracy {accuracy:.4f}")
     confusion = np.zeros((k, k), dtype=np.int64)
     for t, p in zip(dataset.labels, preds):
         confusion[t, p] += 1
@@ -221,7 +228,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    _fill_defaults(args, {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS, "k": 5, "jobs": 1})
     dataset = container.import_dataset(args.data)
     if dataset.groups is None:
         raise DataError(f"{args.data} has no groups sidecar; cross-validation needs "
@@ -230,7 +236,7 @@ def cmd_cv(args) -> int:
     model_cfg = _model_config(args, dataset.samples.shape[1], num_classes)
     train_cfg = _train_config(args)
     results = cross_validate(model_cfg, train_cfg, (dataset.samples, dataset.labels),
-                             dataset.groups, k=args.k, jobs=args.jobs)
+                             dataset.groups, **_given(args, k="k", jobs="jobs"))
     lines = ["fold,accuracy"]
     lines += [f"{r.fold},{r.test_acc!r}" for r in results]
     mean, lo, hi = summarize_folds(results)
@@ -245,24 +251,17 @@ def cmd_cv(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _fill_defaults(args, {"seed": 0, "tol": gc.DEFAULT_TOL})
-    if args.precision is not None and _PRECISIONS[args.precision] != "f64":
-        raise ConfigError("gradient checking runs in 64-bit mode; "
-                          "--precision f32 is not allowed here")
-    results = gc.run_suite(seed=args.seed, tol=args.tol)
+    results = gc.run_suite(**_given(args, seed="seed", tol="tol"))
     print(gc.format_report(results))
     return 0 if all(r.passed for r in results) else 4
 
 
 def cmd_synth(args) -> int:
-    _fill_defaults(args, {"classes": 2, "per_class": 32, "length": 512,
-                          "channels": 2, "noise": 0.5, "leak": 0.65,
-                          "groups": 10, "seed": 0})
-    spec = synthetic.SyntheticSpec(
-        num_classes=args.classes, length=args.length, channels=args.channels,
-        noise=args.noise, marginal_leak=args.leak, n_groups=args.groups,
-        seed=args.seed,
-    ).validate()
+    _fill_defaults(args, {"per_class": 32})
+    spec = synthetic.SyntheticSpec(**_given(
+        args, num_classes="classes", length="length", channels="channels",
+        noise="noise", marginal_leak="leak", n_groups="groups", seed="seed",
+    )).validate()
     dataset = synthetic.generate_synthetic(spec, args.per_class)
     report = synthetic.self_check(dataset, spec)
     container.export_dataset(args.out, dataset)
@@ -352,7 +351,6 @@ def build_parser() -> _Parser:
     p.add_argument("--best-checkpoint", dest="best_checkpoint")
     p.add_argument("--metrics")
     p.add_argument("--repeats", type=int)
-    p.add_argument("--jobs", type=int)
     _model_args(p)
     _train_args(p)
     p.set_defaults(func=cmd_train, required_args=("data",))
@@ -377,7 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--precision", choices=sorted(_PRECISIONS))
     p.set_defaults(func=cmd_gradcheck, required_args=())
 
     p = sub.add_parser("synth", help="generate a synthetic dataset container")

@@ -179,6 +179,8 @@ def read_manifest(path) -> list[ManifestEntry]:
             if len(row) != 4:
                 raise FormatError(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
             file_path, label_text, patient, split = (field.strip() for field in row)
+            if not patient:
+                raise DataError(f"manifest line {lineno}: patient_id must not be empty")
             label_text = label_text.lower()
             if label_text in LABEL_NAMES:
                 label = LABEL_NAMES[label_text]

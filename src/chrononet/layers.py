@@ -1,4 +1,4 @@
-"""Network building blocks: RNN/GRU cells, strided 1-D convolution, inception
+"""Network building blocks: GRU cells, strided 1-D convolution, inception
 blocks with several kernel lengths, densely wired GRU stacks, linear readout.
 
 Sequence tensors are laid out (batch, channels, time).  Weight matrices are
@@ -46,35 +46,6 @@ def glorot_uniform(prng: Prng, shape, fan_in: int, fan_out: int, dtype=np.float3
 
 # ---------------------------------------------------------------------------
 # parameter bundles
-
-
-@dataclass
-class RnnParams:
-    """Classical recurrent cell h = f(W x + U h_prev + b)."""
-
-    W: Tensor
-    U: Tensor
-    b: Tensor
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        m, n = self.W.shape
-        if self.U.shape != (m, m) or self.b.shape != (m,):
-            raise ConfigError(
-                f"rnn params disagree: W {self.W.shape}, U {self.U.shape}, b {self.b.shape}"
-            )
-        if self.activation not in ("tanh", "sigmoid"):
-            raise ConfigError(f"rnn activation must be tanh or sigmoid, got {self.activation!r}")
-
-    @classmethod
-    def init(cls, prng: Prng, input_size: int, hidden_size: int,
-             activation: str = "tanh", dtype=np.float32) -> "RnnParams":
-        W = Tensor(glorot_uniform(prng, (hidden_size, input_size), input_size, hidden_size, dtype),
-                   requires_grad=True)
-        U = Tensor(glorot_uniform(prng, (hidden_size, hidden_size), hidden_size, hidden_size, dtype),
-                   requires_grad=True)
-        b = Tensor(np.zeros(hidden_size, dtype=dtype), requires_grad=True)
-        return cls(W, U, b, activation)
 
 
 _GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
@@ -288,12 +259,6 @@ def _affine_step(x: Tensor, h_prev: Tensor, W: Tensor, U: Tensor, b: Tensor) -> 
     return add(add(matmul(x, W, transpose_b=True), matmul(h_prev, U, transpose_b=True)), b)
 
 
-def rnn_step(p: RnnParams, x: Tensor, h_prev: Tensor) -> Tensor:
-    """One classical RNN update on a (batch, features) slice."""
-    pre = _affine_step(x, h_prev, p.W, p.U, p.b)
-    return tanh(pre) if p.activation == "tanh" else sigmoid(pre)
-
-
 def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """One GRU update; returns (h, z, r, h_candidate) so gates are testable."""
     z = sigmoid(_affine_step(x, h_prev, p.W_z, p.U_z, p.b_z))
@@ -453,9 +418,6 @@ def dense_gru_forward(stack: DenseGruStack, seq: Tensor) -> Tensor:
             inp = concat(hidden, axis=1) if len(hidden) > 1 else hidden[0]
         else:
             inp = hidden[-1]
-        if inp.shape[1] != p.input_size:
-            raise ConfigError(
-                f"gru layer {k} declares input width {p.input_size}, wiring provides {inp.shape[1]}")
         hidden.append(gru_layer_forward(p, inp))
     return hidden[-1]
 

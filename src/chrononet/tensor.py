@@ -29,7 +29,7 @@ def set_finite_checks(enabled: bool) -> None:
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -37,7 +37,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -50,9 +49,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -196,40 +192,6 @@ def tanh(a: Tensor) -> Tensor:
     return make_op("tanh", (a,), y, bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        return (g * (a.data > 0),)
-
-    return make_op("relu", (a,), y, bwd)
-
-
-_ELEMENTWISE = {
-    "add": (add, 2),
-    "sub": (sub, 2),
-    "mul": (mul, 2),
-    "sigmoid": (sigmoid, 1),
-    "tanh": (tanh, 1),
-    "relu": (relu, 1),
-}
-
-
-def elementwise(op_tag: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise op by tag: add, sub, mul, sigmoid, tanh, relu."""
-    try:
-        fn, arity = _ELEMENTWISE[op_tag]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op '{op_tag}'") from None
-    if arity == 2:
-        if b is None:
-            raise ContractError(f"op '{op_tag}' needs two operands")
-        return fn(a, b)
-    if b is not None:
-        raise ContractError(f"op '{op_tag}' takes a single operand")
-    return fn(a)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
@@ -262,13 +224,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     """Join tensors along ``axis``; all other extents must match."""
     if not tensors:
         raise ContractError("concat of zero tensors")
-    if len(tensors) == 1:
-        t = tensors[0]
-
-        def bwd_one(g):
-            return (g,)
-
-        return make_op("concat", (t,), t.data.copy(), bwd_one)
     ref = tensors[0].shape
     for t in tensors[1:]:
         if len(t.shape) != len(ref) or any(
@@ -300,18 +255,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return make_op("slice", (a,), out_data, bwd)
 
 
-def split(a: Tensor, sizes: list[int], axis: int) -> list[Tensor]:
-    """Partition a tensor along ``axis`` into blocks of the given extents."""
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover extent {a.shape[axis]}")
-    parts = []
-    start = 0
-    for n in sizes:
-        parts.append(slice_axis(a, axis, start, start + n))
-        start += n
-    return parts
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = a.data.reshape(shape)
 
@@ -331,17 +274,6 @@ def tsum(a: Tensor) -> Tensor:
     return make_op("sum", (a,), out_data, bwd)
 
 
-def tmean(a: Tensor) -> Tensor:
-    """Mean of every element, as a scalar tensor."""
-    n = a.data.size
-    out_data = np.asarray(a.data.sum() / n, dtype=a.data.dtype)
-
-    def bwd(g):
-        return (np.full(a.shape, g / n, dtype=a.data.dtype),)
-
-    return make_op("mean", (a,), out_data, bwd)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -350,36 +282,22 @@ def backward(loss: Tensor, graph: Graph) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) through the tape.
 
     Returns the gradient map for every requires_grad tensor reachable from
-    ``loss`` and accumulates the same values into each tensor's ``.grad``.
-    Fan-out sums: a tensor consumed by several nodes receives the sum of its
-    branch gradients.
+    ``loss``.  Fan-out sums: a tensor consumed by several nodes receives the
+    sum of its branch gradients.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(graph.nodes):
-        g_out = grads.get(id(node.out))
+        g_out = grads.get(node.out)
         if g_out is None:
             continue
         in_grads = node.backward_fn(g_out)
         for t, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                holders[key] = t
-    result: dict[Tensor, np.ndarray] = {}
-    for key, t in holders.items():
-        if not t.requires_grad:
-            continue
-        g = grads[key]
-        result[t] = g
-        t.grad = g.copy() if t.grad is None else t.grad + g
-    return result
+            grads[t] = grads[t] + g if t in grads else g
+    return {t: g for t, g in grads.items() if t.requires_grad}
 
 
 # ---------------------------------------------------------------------------

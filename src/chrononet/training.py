@@ -23,7 +23,6 @@ class TrainConfig:
     epochs: int = 500
     seed: int = 0
     shuffle: bool = True
-    precision: str = "f32"
     grad_clip: float | None = None  # optional global-norm cap; off by default
 
     def validate(self) -> "TrainConfig":

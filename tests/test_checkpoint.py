@@ -131,6 +131,21 @@ def test_unknown_config_key_rejected(tmp_path):
     assert err.value.offset == 12
 
 
+def test_corrupt_name_byte_reports_offset(tmp_path):
+    model = build(small_config(), Prng(9))
+    path = tmp_path / "n.cncp"
+    save_checkpoint(path, Checkpoint.from_model(model))
+    blob = bytearray(path.read_bytes())
+    text_len = struct.unpack_from("<I", blob, 8)[0]
+    name_offset = 12 + text_len + 4 + 2  # after the parameter count and name length
+    blob[name_offset + 1] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert "name of parameter 0" in str(err.value)
+    assert err.value.offset == name_offset
+
+
 def test_missing_parameter_detected(tmp_path):
     model = build(small_config(), Prng(10))
     checkpoint = Checkpoint.from_model(model)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from chrononet import checkpoint as ckpt
-from chrononet.architectures import build
+from chrononet import cli
+from chrononet.architectures import ARCHITECTURES, build, default_config
 from chrononet.cli import main
 from chrononet.data import container
 from chrononet.data.edf import recording_from_arrays, write_edf
 from chrononet.tensor import Prng
+from chrononet.training import Metrics, TrainConfig
 
 ELECTRODES = ["FP1", "FP2", "F3", "F4", "F7", "F8", "T3", "T4", "T5", "T6",
               "C3", "C4", "CZ", "P3", "P4", "O1", "O2", "A1", "A2"]
@@ -106,8 +108,12 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
 
 
 def test_gradcheck_rejects_f32(capsys):
-    assert main(["gradcheck", "--precision", "f32"]) == 1
-    assert "64-bit" in capsys.readouterr().err
+    # gradcheck always runs in float64; no subcommand takes a precision
+    for argv in (["gradcheck"], ["train", "--data", "x.cnds"], ["cv", "--data", "x.cnds"]):
+        assert main([*argv, "--precision", "f32"]) == 1
+        assert "usage error" in capsys.readouterr().err
+    assert main(["train", "--data", "x.cnds", "--jobs", "2"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +214,28 @@ def test_train_repeats_reports_spread(tmp_path, capsys):
         metrics_without_seconds(tmp_path / "metrics.csv.r1")
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_train_takes_library_defaults(tmp_path, monkeypatch, arch):
+    data = synth_container(tmp_path, per_class=4)
+    seen = {}
+
+    def fake_train(model, train_data, cfg, **kwargs):
+        seen["model"], seen["train"] = model.config, cfg
+        return [Metrics(0, 0.0, 0.0, float("nan"), 0.0)]
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    argv = ["train", "--data", str(data), "--arch", arch,
+            "--checkpoint", str(tmp_path / "m.cncp"), "--metrics", str(tmp_path / "m.csv")]
+    assert main(argv) == 0
+    assert seen["model"] == default_config(arch, input_channels=2, num_classes=2)
+    assert seen["train"] == TrainConfig()
+    # an explicit zero is a value, not "unset": it must reach validation
+    for flag in ("--filters", "--blocks", "--epochs"):
+        seen.clear()
+        assert main([*argv, flag, "0"]) == 1
+        assert not seen
+
+
 def test_config_file_fills_flags_and_flags_win(tmp_path, capsys):
     data = synth_container(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -253,6 +281,34 @@ def test_eval_channel_mismatch_names_both(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "2" in err and "3" in err
+
+
+def test_eval_rejects_labels_beyond_checkpoint_classes(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    assert run_train(tmp_path, data) == 0
+    ds = container.import_dataset(data)
+    ds.labels[3] = 5
+    bad = tmp_path / "bad_labels.cnds"
+    container.export_dataset(bad, ds)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(tmp_path / "model.cncp"), "--data", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "label 5" in err
+
+
+def test_train_test_channel_mismatch_fails_before_training(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    wide = tmp_path / "wide.cnds"
+    assert main(["synth", "--out", str(wide), "--per-class", "4",
+                 "--length", "64", "--channels", "3"]) == 0
+    capsys.readouterr()
+    assert run_train(tmp_path, data, ["--test", str(wide)]) == 1
+    captured = capsys.readouterr()
+    assert "model expects 2 channels" in captured.err and "has 3" in captured.err
+    assert "epoch" not in captured.out
+    assert not (tmp_path / "metrics.csv").exists()
+    assert not (tmp_path / "model.cncp").exists()
 
 
 # ---------------------------------------------------------------------------

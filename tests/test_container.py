@@ -212,3 +212,12 @@ def test_manifest_field_count(tmp_path):
     path = write_manifest(tmp_path, "a.edf,0,p1\n")
     with pytest.raises(FormatError, match="4 fields"):
         read_manifest(path)
+
+
+def test_manifest_empty_patient_id_names_line(tmp_path):
+    path = write_manifest(tmp_path, (
+        "a.edf,0,p1,train\n"
+        "b.edf,1, ,train\n"
+    ))
+    with pytest.raises(DataError, match="line 3: patient_id"):
+        read_manifest(path)

@@ -3,12 +3,12 @@ import pytest
 
 from chrononet.errors import ConfigError, DataError, ShapeError
 from chrononet.layers import (ConvParams, DenseGruStack, GruParams,
-                              InceptionConvBlock, RnnParams, connection_count,
+                              InceptionConvBlock, connection_count,
                               conv1d_forward, conv1d_output_length,
                               dense_gru_forward, glorot_uniform,
                               gru_layer_forward, gru_step,
                               inception_conv1d_forward, last_time_step,
-                              linear_forward, rnn_step)
+                              linear_forward)
 from chrononet.tensor import Graph, Prng, Tensor, backward, tsum
 
 
@@ -49,9 +49,6 @@ def test_param_bundle_validation():
         ConvParams(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), 1)
     with pytest.raises(ConfigError):
         ConvParams(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(2)), 0)
-    with pytest.raises(ConfigError):
-        RnnParams(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))),
-                  Tensor(np.zeros(3)), activation="softplus")
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +107,6 @@ def test_gru_step_huge_negative_update_bias_keeps_state():
     h, z, _, _ = gru_step(p, x, h_prev)
     assert np.allclose(h.data, h_prev.data)
     assert np.all(z.data < 1e-10)
-
-
-def test_rnn_step_matches_formula():
-    p = RnnParams.init(Prng(1), 3, 2, dtype=np.float64)
-    x = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-    h = Tensor(np.random.default_rng(2).normal(size=(4, 2)))
-    out = rnn_step(p, x, h)
-    expected = np.tanh(x.data @ p.W.data.T + h.data @ p.U.data.T + p.b.data)
-    assert np.allclose(out.data, expected)
 
 
 def test_gru_layer_matches_step_composition():
@@ -359,8 +347,6 @@ def test_fused_gru_gradient_matches_composed_path():
         loss1 = tsum(gru_layer_forward(p, seq_fused))
     g1_map = backward(loss1, g1)
 
-    for _, t in p.tensors():
-        t.zero_grad()
     seq_steps = Tensor(seq_data.copy(), requires_grad=True)
     with Graph() as g2:
         h = Tensor(np.zeros((2, 3)))

@@ -3,9 +3,8 @@ import pytest
 
 from chrononet.errors import ContractError, NumericError, ShapeError
 from chrononet.tensor import (Graph, Prng, Tensor, add, backward, concat,
-                              elementwise, matmul, mul, relu, reshape,
-                              set_finite_checks, sigmoid, slice_axis, split,
-                              sub, tanh, tmean, tsum)
+                              matmul, mul, reshape, set_finite_checks, sigmoid,
+                              slice_axis, sub, tanh, tsum)
 
 
 def fd_grad(loss_fn, tensor, step=1e-6):
@@ -58,7 +57,6 @@ def test_activation_values():
     x = Tensor([-1.0, 0.0, 0.5])
     assert np.allclose(sigmoid(x).data, [0.26894142, 0.5, 0.62245933])
     assert np.allclose(tanh(x).data, np.tanh([-1.0, 0.0, 0.5]))
-    assert np.array_equal(relu(x).data, [0.0, 0.0, 0.5])
     # tanh(0.5) spot value
     assert abs(tanh(Tensor(0.5)).item() - 0.46211715726000974) < 1e-12
 
@@ -67,19 +65,6 @@ def test_sigmoid_is_stable_at_extremes():
     y = sigmoid(Tensor([1000.0, -1000.0])).data
     assert y[0] == 1.0 and y[1] == 0.0
     assert np.all(np.isfinite(y))
-
-
-def test_elementwise_dispatch():
-    a = Tensor([1.0, -2.0])
-    b = Tensor([3.0, 4.0])
-    assert np.array_equal(elementwise("add", a, b).data, [4.0, 2.0])
-    assert np.array_equal(elementwise("relu", a).data, [1.0, 0.0])
-    with pytest.raises(ContractError):
-        elementwise("pow", a, b)
-    with pytest.raises(ContractError):
-        elementwise("add", a)
-    with pytest.raises(ContractError):
-        elementwise("tanh", a, b)
 
 
 def test_matmul_values_and_errors():
@@ -95,16 +80,22 @@ def test_matmul_values_and_errors():
 
 def test_concat_split_roundtrip():
     rng = np.random.default_rng(0)
-    parts = [Tensor(rng.normal(size=(2, n))) for n in (1, 3, 2)]
-    joined = concat(parts, axis=1)
+    parts = [Tensor(rng.normal(size=(2, n)), requires_grad=True) for n in (1, 3, 2)]
+    weights = Tensor(rng.normal(size=(2, 6)))
+    with Graph() as g:
+        joined = concat(parts, axis=1)
+        loss = tsum(mul(joined, weights))
     assert joined.shape == (2, 6)
-    back = split(joined, [1, 3, 2], axis=1)
-    for orig, piece in zip(parts, back):
-        assert np.array_equal(orig.data, piece.data)
+    assert np.array_equal(joined.data, np.concatenate([p.data for p in parts], axis=1))
+    # backward splits the gradient back into one block per part
+    grads = backward(loss, g)
+    for orig, (start, stop) in zip(parts, [(0, 1), (1, 4), (4, 6)]):
+        assert np.array_equal(grads[orig], weights.data[:, start:stop])
+    single = concat(parts[:1], axis=1)
+    assert np.array_equal(single.data, parts[0].data)
+    assert not np.shares_memory(single.data, parts[0].data)
     with pytest.raises(ShapeError):
         concat([Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))], axis=1)
-    with pytest.raises(ShapeError):
-        split(joined, [4, 4], axis=1)
 
 
 def test_slice_and_reshape():
@@ -123,7 +114,6 @@ def test_backward_simple_chain():
     grads = backward(loss, g)
     assert grads[x] == pytest.approx(3.0)
     assert grads[y] == pytest.approx(2.0 + 2 * 3.0)
-    assert x.grad == pytest.approx(3.0)
 
 
 def test_backward_requires_scalar_loss():
@@ -163,7 +153,7 @@ def test_grad_matches_finite_differences():
 def test_mean_and_sum_grads():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Graph() as g:
-        loss = tmean(x)
+        loss = tsum(mul(x, Tensor(np.full((2, 3), 1 / 6))))  # mean of 6 elements
     grads = backward(loss, g)
     assert np.allclose(grads[x], np.full((2, 3), 1 / 6))
     x2 = Tensor(np.ones(4), requires_grad=True)
