@@ -3,16 +3,16 @@
 Layout (all integers little-endian):
 
     "CNCP"                       4-byte magic
-    u32 version                  currently 1
+    u32 version                  currently 2
     u32 config length, UTF-8     key=value lines describing the model + run
     u32 parameter entries
     per entry:
         u16 name length, UTF-8 name
         u8 rank, rank x u64 extents
         raw float32 values, row-major
-    optional optimizer trailer:
-        u8 flag (1), u64 step counter,
-        per entry: raw float32 first moments, then second moments
+
+Nothing follows the last entry, and files of any other version are
+rejected.
 
 Values are stored as 32-bit floats, which is exactly what training mode
 uses, so a save/load round trip is bit-identical.
@@ -30,7 +30,7 @@ from .errors import ContractError, FormatError
 from .tensor import Prng
 
 MAGIC = b"CNCP"
-VERSION = 1
+VERSION = 2
 
 
 def _config_text(config: ModelConfig, seed: int, epoch: int) -> str:
@@ -98,13 +98,9 @@ class Checkpoint:
     params: list[tuple[str, np.ndarray]]
     seed: int = 0
     epoch: int = 0
-    opt_t: int | None = None
-    opt_m: dict | None = None
-    opt_v: dict | None = None
 
     @classmethod
-    def from_model(cls, model: Model, seed: int = 0, epoch: int = 0,
-                   opt_t=None, opt_m=None, opt_v=None) -> "Checkpoint":
+    def from_model(cls, model: Model, seed: int = 0, epoch: int = 0) -> "Checkpoint":
         params = []
         for name, tensor in model.named_parameters():
             if tensor.data.dtype != np.float32:
@@ -112,7 +108,7 @@ class Checkpoint:
                     f"parameter {name} is {tensor.data.dtype}; only float32 models "
                     "can be checkpointed losslessly")
             params.append((name, tensor.data.copy()))
-        return cls(model.config, params, seed, epoch, opt_t, opt_m, opt_v)
+        return cls(model.config, params, seed, epoch)
 
     def scalar_count(self) -> int:
         return sum(arr.size for _, arr in self.params)
@@ -134,17 +130,6 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    if checkpoint.opt_t is not None:
-        buf.write(struct.pack("<B", 1))
-        buf.write(struct.pack("<Q", checkpoint.opt_t))
-        for name, arr in checkpoint.params:
-            for table in (checkpoint.opt_m, checkpoint.opt_v):
-                moment = table[name]
-                if moment.shape != arr.shape:
-                    raise ContractError(
-                        f"optimizer moment for {name} has shape {moment.shape}, "
-                        f"parameter is {arr.shape}")
-                buf.write(np.ascontiguousarray(moment, dtype="<f4").tobytes())
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(buf.getvalue())
@@ -203,20 +188,9 @@ def load_checkpoint(path) -> Checkpoint:
         raw = r.take(4 * count, f"values of {name}")
         params.append((name, np.frombuffer(raw, dtype="<f4").reshape(shape).copy()))
 
-    opt_t = opt_m = opt_v = None
     if r.remaining:
-        flag = r.unpack("<B", "optimizer flag")
-        if flag != 1:
-            raise FormatError(f"bad optimizer flag {flag}", offset=r.pos - 1)
-        opt_t = r.unpack("<Q", "optimizer step counter")
-        opt_m, opt_v = {}, {}
-        for name, arr in params:
-            for table in (opt_m, opt_v):
-                raw = r.take(4 * arr.size, f"optimizer moments of {name}")
-                table[name] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape).copy()
-        if r.remaining:
-            raise FormatError(f"{r.remaining} trailing bytes", offset=r.pos)
-    return Checkpoint(config, params, seed, epoch, opt_t, opt_m, opt_v)
+        raise FormatError(f"{r.remaining} trailing bytes", offset=r.pos)
+    return Checkpoint(config, params, seed, epoch)
 
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> Model:

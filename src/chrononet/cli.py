@@ -43,20 +43,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 # Casters for config-file values, keyed by argparse destination name.
 _CASTERS = {
     "arch": str, "kernels": _int_list, "filters": int, "stride": int, "blocks": int,
     "gru_widths": _int_list, "classes": int, "lr": float,
-    "batch": int, "epochs": int, "seed": int, "shuffle": _bool, "grad_clip": float,
+    "batch": int, "epochs": int, "seed": int, "grad_clip": float,
     "repeats": int, "jobs": int, "k": int, "tol": float,
     "data": str, "test": str, "out": str, "checkpoint": str,
     "best_checkpoint": str, "metrics": str,
@@ -120,7 +111,6 @@ def _train_args(parser) -> None:
     parser.add_argument("--batch", type=int)
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--shuffle", type=_bool)
     parser.add_argument("--grad-clip", type=float, dest="grad_clip")
 
 
@@ -143,7 +133,7 @@ def _model_config(args, input_channels: int, num_classes: int) -> ModelConfig:
 def _train_config(args) -> TrainConfig:
     return TrainConfig(**_given(
         args, learning_rate="lr", batch_size="batch", epochs="epochs", seed="seed",
-        shuffle="shuffle", grad_clip="grad_clip")).validate()
+        grad_clip="grad_clip")).validate()
 
 
 def _infer_classes(args, labels: np.ndarray) -> int:
@@ -162,9 +152,17 @@ def _check_channels(expected: int, dataset, path) -> None:
         raise ConfigError(f"model expects {expected} channels, {path} has {channels}")
 
 
+def _check_labels(num_classes: int, dataset, path) -> None:
+    if len(dataset) and dataset.labels.max() >= num_classes:
+        raise DataError(f"{path}: label {dataset.labels.max()} outside the model's "
+                        f"{num_classes} classes")
+
+
 def cmd_train(args) -> int:
     _fill_defaults(args, {"repeats": 1, "checkpoint": "model.cncp",
                           "metrics": "metrics.csv"})
+    if args.repeats < 1:
+        raise ConfigError(f"repeats must be positive, got {args.repeats}")
     dataset = container.import_dataset(args.data)
     num_classes = _infer_classes(args, dataset.labels)
     model_cfg = _model_config(args, dataset.samples.shape[1], num_classes)
@@ -172,6 +170,7 @@ def cmd_train(args) -> int:
     if args.test:
         test_set = container.import_dataset(args.test)
         _check_channels(model_cfg.input_channels, test_set, args.test)
+        _check_labels(model_cfg.num_classes, test_set, args.test)
     base_cfg = _train_config(args)
 
     final_test_accs = []
@@ -212,9 +211,7 @@ def cmd_eval(args) -> int:
     if len(dataset) == 0:
         raise ContractError("cannot evaluate an empty dataset")
     k = model.config.num_classes
-    if dataset.labels.max() >= k:
-        raise DataError(f"{args.data}: label {dataset.labels.max()} outside the "
-                        f"checkpoint's {k} classes")
+    _check_labels(k, dataset, args.data)
     preds = predict(model, dataset.samples)
     accuracy = float((preds == dataset.labels).mean())
     print(f"accuracy {accuracy:.4f}")
@@ -307,8 +304,9 @@ def cmd_prepare(args) -> int:
 
     if not windows["train"]:
         raise DataError("no train windows; cannot compute normalization stats")
-    train_stack = np.stack(windows["train"])
-    mean, std = preprocess.compute_stats(train_stack)
+    stacks = {split: np.stack(windows.pop(split)) for split in ("train", "test")
+              if windows[split]}
+    mean, std = preprocess.compute_stats(stacks["train"])
 
     written = []
     try:
@@ -316,17 +314,16 @@ def cmd_prepare(args) -> int:
         container.save_stats(stats_path, mean, std)
         written.append(stats_path)
         for split in ("train", "test"):
-            if not windows[split]:
+            if split not in stacks:
                 print(f"{split} windows: 0")
                 continue
-            stack = np.stack(windows[split])
-            normalized = preprocess.normalize(stack, mean, std)
+            normalized = preprocess.normalize(stacks.pop(split), mean, std)
             out_path = f"{args.out}.{split}.cnds"
             container.export_dataset(out_path, container.Dataset(
                 normalized, np.asarray(labels[split]), patients[split]))
             written.append(out_path)
             written.append(container.groups_path(out_path))
-            print(f"{split} windows: {len(windows[split])}")
+            print(f"{split} windows: {len(normalized)}")
     except Exception:
         for path in written:
             if os.path.exists(path):

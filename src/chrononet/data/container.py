@@ -15,7 +15,6 @@ per sample line.
 """
 
 import csv
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -49,10 +48,12 @@ class Dataset:
         return self.samples.shape[0]
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, *parts) -> None:
+    """Write the parts (bytes or arrays) back to back, then rename into place."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
-        f.write(payload)
+        for part in parts:
+            f.write(part)
     os.replace(tmp, path)
 
 
@@ -60,18 +61,20 @@ def groups_path(path) -> str:
     return f"{path}.groups"
 
 
+def _record_dtype(channels: int, length: int) -> np.dtype:
+    """One packed sample record: u16 label, then the float32 payload."""
+    return np.dtype([("label", "<u2"), ("x", "<f4", (channels, length))])
+
+
 def export_dataset(path, dataset: Dataset) -> None:
     n, channels, length = dataset.samples.shape
     if dataset.labels.size and (dataset.labels.min() < 0 or dataset.labels.max() > 0xFFFF):
         raise DataError("labels must fit an unsigned 16-bit field")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<IQII", VERSION, n, channels, length))
-    flat = np.ascontiguousarray(dataset.samples, dtype="<f4")
-    for i in range(n):
-        buf.write(struct.pack("<H", int(dataset.labels[i])))
-        buf.write(flat[i].tobytes())
-    _atomic_write(path, buf.getvalue())
+    records = np.empty(n, dtype=_record_dtype(channels, length))
+    records["label"] = dataset.labels
+    records["x"] = dataset.samples
+    header = MAGIC + struct.pack("<IQII", VERSION, n, channels, length)
+    _atomic_write(path, header, records)
     if dataset.groups is not None:
         text = "".join(f"{g}\n" for g in dataset.groups)
         _atomic_write(groups_path(path), text.encode())
@@ -88,20 +91,14 @@ def import_dataset(path) -> Dataset:
     version, n, channels, length = struct.unpack_from("<IQII", buf, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    record = 2 + 4 * channels * length
-    expected = 4 + header + record * n
+    dtype = _record_dtype(channels, length)
+    expected = 4 + header + dtype.itemsize * n
     if len(buf) != expected:
         raise FormatError(f"expected {expected} bytes for {n} samples, file has {len(buf)}",
                           offset=min(len(buf), expected))
-    samples = np.empty((n, channels, length), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    pos = 4 + header
-    for i in range(n):
-        labels[i] = struct.unpack_from("<H", buf, pos)[0]
-        pos += 2
-        samples[i] = np.frombuffer(buf, dtype="<f4", count=channels * length,
-                                   offset=pos).reshape(channels, length)
-        pos += 4 * channels * length
+    records = np.frombuffer(buf, dtype=dtype, count=n, offset=4 + header)
+    samples = np.array(records["x"], dtype=np.float32, order="C")
+    labels = records["label"].astype(np.int64)
 
     groups = None
     gpath = groups_path(path)
@@ -118,12 +115,8 @@ def save_stats(path, mean: np.ndarray, std: np.ndarray) -> None:
     std = np.asarray(std, dtype="<f8")
     if mean.shape != std.shape or mean.ndim != 1:
         raise DataError(f"stats must be matching vectors, got {mean.shape} and {std.shape}")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<III", VERSION, STATS_FLAG, mean.shape[0]))
-    buf.write(mean.tobytes())
-    buf.write(std.tobytes())
-    _atomic_write(path, buf.getvalue())
+    header = MAGIC + struct.pack("<III", VERSION, STATS_FLAG, mean.shape[0])
+    _atomic_write(path, header, mean.tobytes(), std.tobytes())
 
 
 def load_stats(path) -> tuple[np.ndarray, np.ndarray]:

@@ -102,8 +102,17 @@ def compute_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normalize(samples: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Z-score per channel; zero-variance channels are centered only."""
-    safe = np.where(std > 0, std, 1.0)
-    shaped = lambda v: np.asarray(v, dtype=np.float64)[:, None]
-    out = (np.asarray(samples, dtype=np.float64) - shaped(mean)) / shaped(safe)
-    return out.astype(np.float32)
+    """Z-score per channel; zero-variance channels are centered only.
+
+    Takes one (C, T) window or an (N, C, T) stack. Each window is computed in
+    float64 on its own and written into the float32 result, so no whole-stack
+    float64 temporary is made.
+    """
+    mean = np.asarray(mean, dtype=np.float64)[:, None]
+    safe = np.asarray(np.where(std > 0, std, 1.0), dtype=np.float64)[:, None]
+    samples = np.asarray(samples)
+    out = np.empty(samples.shape, dtype=np.float32)
+    windows = samples.reshape(-1, *samples.shape[-2:])
+    for window, dst in zip(windows, out.reshape(windows.shape)):
+        np.divide(window - mean, safe, out=dst)
+    return out

@@ -226,10 +226,6 @@ class DenseGruStack:
     def input_size(self) -> int:
         return self.layers[0].input_size
 
-    @property
-    def output_size(self) -> int:
-        return self.layers[-1].hidden_size
-
     def tensors(self) -> list[tuple[str, Tensor]]:
         out = []
         for k, p in enumerate(self.layers):

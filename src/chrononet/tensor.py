@@ -12,18 +12,11 @@ the other way around.
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _graph_stack: list["Graph"] = []
-_finite_checks = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on every op output (slow, for diagnostics)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
 
 
 class Tensor:
@@ -101,8 +94,6 @@ def make_op(tag: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tenso
     input, in order.  Recording only happens when some input requires grad,
     so inference runs tape-free.
     """
-    if _finite_checks and not np.all(np.isfinite(out_data)):
-        raise NumericError(f"non-finite values produced by op '{tag}'")
     graph = _active_graph()
     track = graph is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
@@ -334,6 +325,3 @@ class Prng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)

@@ -9,7 +9,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .architectures import Model, ModelConfig, build, forward
 from .errors import ConfigError, ContractError, DataError, NumericError
-from .tensor import Graph, Prng, Tensor, backward, make_op, set_finite_checks
+from .tensor import Graph, Prng, Tensor, backward, make_op
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -22,7 +22,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 500
     seed: int = 0
-    shuffle: bool = True
     grad_clip: float | None = None  # optional global-norm cap; off by default
 
     def validate(self) -> "TrainConfig":
@@ -137,11 +136,20 @@ def adam_step(named_params, grads: dict, state: AdamState, lr: float) -> None:
         param.data -= (lr * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(param.data.dtype)
 
 
-def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def _squared_sums(grads: dict) -> dict:
+    """Float64 sum of squares of each gradient, keyed like ``grads``."""
+    return {name: float(np.sum(np.square(g, dtype=np.float64)))
+            for name, g in grads.items()}
+
+
+def clip_gradients(grads: dict, max_norm: float, sums: dict | None = None) -> float:
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    ``sums`` are the gradients' squared sums when the caller already has them.
+    """
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g, dtype=np.float64)))
+    for s in (_squared_sums(grads) if sums is None else sums).values():
+        total += s
     norm = total ** 0.5
     if norm > max_norm:
         scale = max_norm / norm
@@ -160,16 +168,6 @@ def _as_arrays(data):
     else:
         x, y = data.samples, data.labels
     return np.asarray(x), np.asarray(y, dtype=np.int64)
-
-
-def _diagnose_non_finite(model: Model, xb: Tensor, yb) -> None:
-    """Re-run the offending batch with per-op finite checks switched on."""
-    set_finite_checks(True)
-    try:
-        with Graph():
-            softmax_cross_entropy(forward(model, xb), yb)
-    finally:
-        set_finite_checks(False)
 
 
 def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
@@ -197,7 +195,7 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for start in range(0, n, cfg.batch_size):
@@ -208,19 +206,20 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
                 logits = forward(model, xb)
                 loss = softmax_cross_entropy(logits, yb)
             loss_val = loss.item()
+            where = f"epoch {epoch} batch {start // cfg.batch_size}"
             if not np.isfinite(loss_val):
-                batch_index = start // cfg.batch_size
-                try:
-                    _diagnose_non_finite(model, xb, yb)
-                except NumericError as exc:
-                    raise NumericError(f"epoch {epoch} batch {batch_index}: {exc}") from None
-                raise NumericError(
-                    f"epoch {epoch} batch {batch_index}: non-finite loss {loss_val} "
-                    "(no single forward op produced it)")
+                # The loss node is on the tape, so some node is always found.
+                tag = next(node.tag for node in g.nodes
+                           if not np.all(np.isfinite(node.out.data)))
+                raise NumericError(f"{where}: non-finite values produced by op '{tag}'")
             grad_map = backward(loss, g)
             grads = {name: grad_map[t] for name, t in params if t in grad_map}
+            sums = _squared_sums(grads)
+            for name, s in sums.items():
+                if not np.isfinite(s):
+                    raise NumericError(f"{where}: non-finite gradient for {name}")
             if cfg.grad_clip is not None:
-                clip_gradients(grads, cfg.grad_clip)
+                clip_gradients(grads, cfg.grad_clip, sums)
             adam_step(params, grads, state, cfg.learning_rate)
             loss_sum += loss_val * len(idx)
             correct += int((np.argmax(logits.data, axis=1) == yb).sum())
@@ -236,16 +235,15 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
         if best_checkpoint_path is not None and test_data is not None \
                 and test_acc >= best_acc:
             best_acc = test_acc
-            _write_checkpoint(best_checkpoint_path, model, state, cfg.seed, epoch)
+            _write_checkpoint(best_checkpoint_path, model, cfg.seed, epoch)
 
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, model, state, cfg.seed, cfg.epochs - 1)
+        _write_checkpoint(checkpoint_path, model, cfg.seed, cfg.epochs - 1)
     return history
 
 
-def _write_checkpoint(path, model: Model, state: AdamState, seed: int, epoch: int) -> None:
-    ckpt.save_checkpoint(path, ckpt.Checkpoint.from_model(
-        model, seed=seed, epoch=epoch, opt_t=state.t, opt_m=state.m, opt_v=state.v))
+def _write_checkpoint(path, model: Model, seed: int, epoch: int) -> None:
+    ckpt.save_checkpoint(path, ckpt.Checkpoint.from_model(model, seed=seed, epoch=epoch))
 
 
 def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -43,30 +43,6 @@ def test_double_save_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_optimizer_trailer_round_trip(tmp_path):
-    model = build(small_config(), Prng(4))
-    rng = np.random.default_rng(4)
-    m = {n: rng.normal(size=t.shape).astype(np.float32)
-         for n, t in model.named_parameters()}
-    v = {n: np.abs(rng.normal(size=t.shape)).astype(np.float32)
-         for n, t in model.named_parameters()}
-    path = tmp_path / "opt.cncp"
-    save_checkpoint(path, Checkpoint.from_model(model, opt_t=42, opt_m=m, opt_v=v))
-    loaded = load_checkpoint(path)
-    assert loaded.opt_t == 42
-    for name in m:
-        assert loaded.opt_m[name].tobytes() == m[name].tobytes()
-        assert loaded.opt_v[name].tobytes() == v[name].tobytes()
-
-
-def test_no_trailer_when_optimizer_missing(tmp_path):
-    model = build(small_config(), Prng(5))
-    path = tmp_path / "plain.cncp"
-    save_checkpoint(path, Checkpoint.from_model(model))
-    loaded = load_checkpoint(path)
-    assert loaded.opt_t is None and loaded.opt_m is None and loaded.opt_v is None
-
-
 def test_f64_model_is_rejected():
     cfg = small_config()
     cfg.precision = "f64"
@@ -92,6 +68,19 @@ def test_bad_version_reports_offset(tmp_path):
     assert err.value.offset == 4
 
 
+def test_version_1_rejected_at_offset_4(tmp_path):
+    model = build(small_config(), Prng(5))
+    path = tmp_path / "v1.cncp"
+    save_checkpoint(path, Checkpoint.from_model(model))
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", blob, 4)[0] == 2
+    struct.pack_into("<I", blob, 4, 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unsupported version 1") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 4
+
+
 def test_truncation_reports_offset(tmp_path):
     model = build(small_config(), Prng(7))
     path = tmp_path / "full.cncp"
@@ -107,12 +96,13 @@ def test_truncation_reports_offset(tmp_path):
 
 def test_trailing_garbage_rejected(tmp_path):
     model = build(small_config(), Prng(8))
-    m = {n: np.zeros(t.shape, dtype=np.float32) for n, t in model.named_parameters()}
     path = tmp_path / "g.cncp"
-    save_checkpoint(path, Checkpoint.from_model(model, opt_t=1, opt_m=m, opt_v=m))
+    save_checkpoint(path, Checkpoint.from_model(model))
+    end = len(path.read_bytes())
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(FormatError, match="2 trailing bytes") as err:
         load_checkpoint(path)
+    assert err.value.offset == end
 
 
 def test_unknown_config_key_rejected(tmp_path):

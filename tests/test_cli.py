@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chrononet import checkpoint as ckpt
-from chrononet import cli
+from chrononet import cli, training
 from chrononet.architectures import ARCHITECTURES, build, default_config
 from chrononet.cli import main
 from chrononet.data import container
@@ -91,6 +91,29 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric error" in err
     assert "epoch 0 batch 0" in err
+    assert "op 'conv1d'" in err
+
+
+def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch, capsys):
+    data = synth_container(tmp_path)
+    built = {}
+    real_build = cli.build
+    monkeypatch.setattr(cli, "build", lambda cfg, rng: built.setdefault(
+        "model", real_build(cfg, rng)))
+    real_backward = training.backward
+
+    def poisoned(loss, graph):
+        grads = real_backward(loss, graph)
+        weight = dict(built["model"].named_parameters())["readout.W"]
+        grads[weight].flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned)
+    capsys.readouterr()
+    assert run_train(tmp_path, data) == 3
+    err = capsys.readouterr().err
+    assert "epoch 0 batch 0" in err and "non-finite gradient for readout.W" in err
+    assert not (tmp_path / "model.cncp").exists()
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
@@ -171,7 +194,6 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert len(lines) == 3
     snapshot = ckpt.load_checkpoint(tmp_path / "model.cncp")
     assert snapshot.epoch == 1
-    assert snapshot.opt_t is not None
     model = ckpt.model_from_checkpoint(snapshot)
     assert model.config.input_channels == 2
 
@@ -309,6 +331,30 @@ def test_train_test_channel_mismatch_fails_before_training(tmp_path, capsys):
     assert "epoch" not in captured.out
     assert not (tmp_path / "metrics.csv").exists()
     assert not (tmp_path / "model.cncp").exists()
+
+
+def test_train_test_labels_beyond_model_classes_fail_before_training(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    wide = synth_container(tmp_path, name="four.cnds", per_class=4,
+                           extra=["--classes", "4"])
+    capsys.readouterr()
+    assert run_train(tmp_path, data, ["--test", str(wide)]) == 2
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and "label 3" in captured.err
+    assert "epoch" not in captured.out
+    assert not (tmp_path / "metrics.csv").exists()
+    assert not (tmp_path / "model.cncp").exists()
+
+
+def test_train_rejects_zero_repeats_before_reading_data(tmp_path, monkeypatch, capsys):
+    data = synth_container(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["train", "--data", str(data), "--repeats", "0"]) == 1
+    assert "repeats" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # the check runs before the data is read: a missing file is not reached
+    assert main(["train", "--data", "missing.cnds", "--repeats", "0"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,23 @@ def test_round_trip_bitwise(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_bytes_follow_documented_layout(tmp_path):
+    x = np.arange(24, dtype=np.float32).reshape(3, 2, 4) / 7
+    labels = np.array([0, 1, 65535])
+    path = tmp_path / "layout.cnds"
+    export_dataset(path, Dataset(x, labels))
+    expected = b"CNDS" + struct.pack("<IQII", 1, 3, 2, 4)
+    for i in range(3):
+        expected += struct.pack("<H", labels[i]) + struct.pack("<8f", *x[i].ravel())
+    assert path.read_bytes() == expected
+
+    loaded = import_dataset(path)
+    assert loaded.samples.tobytes() == x.tobytes()
+    assert np.array_equal(loaded.labels, labels)
+    for arr in (loaded.samples, loaded.labels):
+        assert arr.flags.writeable and arr.flags.c_contiguous
+
+
 def test_round_trip_without_groups(tmp_path):
     ds = sample_dataset(groups=False)
     path = tmp_path / "ng.cnds"

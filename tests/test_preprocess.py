@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,29 @@ def test_normalize_zero_variance_channel_centered_only():
     z = normalize(x, mean, std)
     assert np.all(z == 0.0)
     assert np.all(np.isfinite(z))
+
+
+def test_normalize_matches_whole_array_float64_formula():
+    rng = np.random.default_rng(5)
+    x = (rng.normal(size=(6, 3, 50)) * 40.0).astype(np.float32)
+    mean, std = compute_stats(x)
+    std[1] = 0.0
+    safe = np.where(std > 0, std, 1.0)
+    expected = ((x.astype(np.float64) - mean[:, None]) / safe[:, None]).astype(np.float32)
+    assert normalize(x, mean, std).tobytes() == expected.tobytes()
+    assert normalize(x[2], mean, std).tobytes() == expected[2].tobytes()
+
+
+def test_normalize_peak_memory_stays_near_output():
+    x = np.random.default_rng(6).normal(size=(22, 22, 1500)).astype(np.float32)
+    mean, std = compute_stats(x)
+    tracemalloc.start()
+    try:
+        normalize(x, mean, std)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
 
 
 def test_stats_contract():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chrononet.errors import ContractError, NumericError, ShapeError
+from chrononet.errors import ContractError, ShapeError
 from chrononet.tensor import (Graph, Prng, Tensor, add, backward, concat,
-                              matmul, mul, reshape, set_finite_checks, sigmoid,
+                              matmul, mul, reshape, sigmoid,
                               slice_axis, sub, tanh, tsum)
 
 
@@ -173,16 +173,6 @@ def test_no_recording_without_requires_grad():
     with Graph() as g:
         mul(x, x)
     assert len(g) == 0
-
-
-def test_finite_checks_name_the_op():
-    set_finite_checks(True)
-    try:
-        big = Tensor([1e308])
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
-            mul(big, big)
-    finally:
-        set_finite_checks(False)
 
 
 def test_graph_nesting_restores_stack():
