@@ -18,14 +18,13 @@ Values are stored as 32-bit floats, which is exactly what training mode
 uses, so a save/load round trip is bit-identical.
 """
 
-import io
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .architectures import ConvBlockSpec, Model, ModelConfig, build
+from .data.container import atomic_write
 from .errors import ContractError, FormatError
 from .tensor import Prng
 
@@ -115,25 +114,15 @@ class Checkpoint:
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
     text = _config_text(checkpoint.config, checkpoint.seed, checkpoint.epoch).encode()
-    buf.write(struct.pack("<I", len(text)))
-    buf.write(text)
-    buf.write(struct.pack("<I", len(checkpoint.params)))
+    parts = [MAGIC + struct.pack("<II", VERSION, len(text)) + text
+             + struct.pack("<I", len(checkpoint.params))]
     for name, arr in checkpoint.params:
         encoded = name.encode()
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", arr.ndim))
-        for extent in arr.shape:
-            buf.write(struct.pack("<Q", extent))
-        buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(buf.getvalue())
-    os.replace(tmp, path)
+        parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q",
+                                 len(encoded), encoded, arr.ndim, *arr.shape))
+        parts.append(np.ascontiguousarray(arr, dtype="<f4"))
+    atomic_write(path, *parts)
 
 
 class _Reader:

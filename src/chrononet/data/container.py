@@ -48,13 +48,21 @@ class Dataset:
         return self.samples.shape[0]
 
 
-def _atomic_write(path, *parts) -> None:
-    """Write the parts (bytes or arrays) back to back, then rename into place."""
+def atomic_write(path, *parts) -> None:
+    """Write the parts (bytes or arrays) back to back, then rename into place.
+
+    If anything fails, the temp file is removed and ``path`` is untouched.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        for part in parts:
-            f.write(part)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def groups_path(path) -> str:
@@ -74,10 +82,10 @@ def export_dataset(path, dataset: Dataset) -> None:
     records["label"] = dataset.labels
     records["x"] = dataset.samples
     header = MAGIC + struct.pack("<IQII", VERSION, n, channels, length)
-    _atomic_write(path, header, records)
+    atomic_write(path, header, records)
     if dataset.groups is not None:
         text = "".join(f"{g}\n" for g in dataset.groups)
-        _atomic_write(groups_path(path), text.encode())
+        atomic_write(groups_path(path), text.encode())
 
 
 def import_dataset(path) -> Dataset:
@@ -116,7 +124,7 @@ def save_stats(path, mean: np.ndarray, std: np.ndarray) -> None:
     if mean.shape != std.shape or mean.ndim != 1:
         raise DataError(f"stats must be matching vectors, got {mean.shape} and {std.shape}")
     header = MAGIC + struct.pack("<III", VERSION, STATS_FLAG, mean.shape[0])
-    _atomic_write(path, header, mean.tobytes(), std.tobytes())
+    atomic_write(path, header, mean.tobytes(), std.tobytes())
 
 
 def load_stats(path) -> tuple[np.ndarray, np.ndarray]:

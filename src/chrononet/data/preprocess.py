@@ -93,12 +93,19 @@ def extract_windows(rec: Recording, spec: WindowSpec, split: str) -> list[np.nda
 
 
 def compute_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and population standard deviation over (N, C, T)."""
-    x = np.asarray(samples, dtype=np.float64)
+    """Per-channel mean and population standard deviation over (N, C, T).
+
+    Accumulated one float64 window at a time, bitwise equal to the
+    whole-array float64 formula without a float64 copy of the stack.
+    """
+    x = np.asarray(samples)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ContractError(f"stats need a non-empty (samples, channels, time) array, "
                             f"got shape {x.shape}")
-    return x.mean(axis=(0, 2)), x.std(axis=(0, 2))
+    count = x.shape[0] * x.shape[2]
+    mean = sum(w.astype(np.float64).sum(axis=1) for w in x) / count
+    var = sum(np.square(w.astype(np.float64) - mean[:, None]).sum(axis=1) for w in x) / count
+    return mean, np.sqrt(var)
 
 
 def normalize(samples: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -12,7 +12,11 @@ Sequence tensors are laid out (batch, channels, time).  Weight matrices are
 ``gru_step`` composes these from taped primitives; ``gru_layer_forward`` runs
 the whole sequence as one fused tape node with a hand-written
 backpropagation-through-time rule (checked against finite differences and
-against the step-composed path in the tests).
+against the step-composed path in the tests).  For its backward pass the
+node keeps the (T, B, n) input copy and two state arrays: the gate slab
+``A`` (T, B, 3m), laid out z | r | h~ like the stacked input weights, and
+the hidden buffer ``H`` (T+1, B, m) with ``H[0] = 0``, so ``H[:-1]`` holds
+each step's previous state.
 """
 
 from dataclasses import dataclass
@@ -290,60 +294,52 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     W_all = np.concatenate([p.W_z.data, p.W_r.data, p.W_h.data], axis=0)   # (3m, n)
     U_zr = np.concatenate([p.U_z.data, p.U_r.data], axis=0)                # (2m, m)
     U_h = p.U_h.data
-    b_z, b_r, b_h = p.b_z.data, p.b_r.data, p.b_h.data
+    b_zr = np.concatenate([p.b_z.data, p.b_r.data])
+    b_h = p.b_h.data
 
     x_tbc = np.ascontiguousarray(seq.data.transpose(2, 0, 1))              # (T, B, n)
-    X = (x_tbc.reshape(steps * batch, in_ch) @ W_all.T).reshape(steps, batch, 3 * m)
-
-    H = np.empty((steps, batch, m), dtype=dtype)
-    H_prev = np.empty_like(H)
-    Z = np.empty_like(H)
-    R = np.empty_like(H)
-    C = np.empty_like(H)   # candidate states
-    h = np.zeros((batch, m), dtype=dtype)
+    flat = steps * batch
+    x2 = x_tbc.reshape(flat, in_ch)
+    A = (x2 @ W_all.T).reshape(steps, batch, 3 * m)   # pre-activations, then gates
+    H = np.zeros((steps + 1, batch, m), dtype=dtype)
     for t in range(steps):
-        H_prev[t] = h
-        rec = h @ U_zr.T
-        z = _sigmoid(X[t, :, :m] + rec[:, :m] + b_z)
-        r = _sigmoid(X[t, :, m:2 * m] + rec[:, m:] + b_r)
-        cand = np.tanh(X[t, :, 2 * m:] + (r * h) @ U_h.T + b_h)
-        h = (1.0 - z) * h + z * cand
-        Z[t], R[t], C[t], H[t] = z, r, cand, h
+        h, a = H[t], A[t]
+        zr = _sigmoid(a[:, :2 * m] + h @ U_zr.T + b_zr)
+        z, r = zr[:, :m], zr[:, m:]
+        cand = np.tanh(a[:, 2 * m:] + (r * h) @ U_h.T + b_h)
+        a[:, :2 * m] = zr
+        a[:, 2 * m:] = cand
+        H[t + 1] = (1.0 - z) * h + z * cand
 
-    out_data = np.ascontiguousarray(H.transpose(1, 2, 0))                  # (B, m, T)
+    out_data = np.ascontiguousarray(H[1:].transpose(1, 2, 0))              # (B, m, T)
 
     def bwd(g):
         G = g.transpose(2, 0, 1)                                           # (T, B, m)
-        dA_z = np.empty_like(H)
-        dA_r = np.empty_like(H)
-        dA_h = np.empty_like(H)
+        dA = np.empty_like(A)
         carry = np.zeros((batch, m), dtype=dtype)
         for t in range(steps - 1, -1, -1):
             dh = G[t] + carry
-            z, r, cand, hp = Z[t], R[t], C[t], H_prev[t]
-            dcand = dh * z
+            hp, a, da = H[t], A[t], dA[t]
+            z, r, cand = a[:, :m], a[:, m:2 * m], a[:, 2 * m:]
             dhp = dh * (1.0 - z)
-            da_h = dcand * (1.0 - cand * cand)
-            drh = da_h @ U_h
+            da[:, 2 * m:] = dh * z * (1.0 - cand * cand)
+            drh = da[:, 2 * m:] @ U_h
             dhp += drh * r
-            da_z = dh * (cand - hp) * z * (1.0 - z)
-            da_r = drh * hp * r * (1.0 - r)
-            dA_z[t], dA_r[t], dA_h[t] = da_z, da_r, da_h
-            carry = dhp + np.concatenate([da_z, da_r], axis=1) @ U_zr
+            da[:, :m] = dh * (cand - hp) * z * (1.0 - z)
+            da[:, m:2 * m] = drh * hp * r * (1.0 - r)
+            carry = dhp + da[:, :2 * m] @ U_zr
 
-        flat = steps * batch
-        x2 = x_tbc.reshape(flat, in_ch)
-        hp2 = H_prev.reshape(flat, m)
-        rh2 = (R * H_prev).reshape(flat, m)
-        dz2 = dA_z.reshape(flat, m)
-        dr2 = dA_r.reshape(flat, m)
-        dh2 = dA_h.reshape(flat, m)
-        dX = np.concatenate([dz2, dr2, dh2], axis=1) @ W_all               # (T*B, n)
+        dA2 = dA.reshape(flat, 3 * m)
+        hp2 = H[:-1].reshape(flat, m)
+        rh2 = (A[:, :, m:2 * m] * H[:-1]).reshape(flat, m)
+        dX = dA2 @ W_all                                                   # (T*B, n)
         dseq = np.ascontiguousarray(dX.reshape(steps, batch, in_ch).transpose(1, 2, 0))
-        return (dseq,
-                dz2.T @ x2, dr2.T @ x2, dh2.T @ x2,
+        # One GEMM per gate: a fused (3m, n) product sums in another order.
+        dz2, dr2, dh2 = dA2[:, :m], dA2[:, m:2 * m], dA2[:, 2 * m:]
+        db = dA2.sum(axis=0)
+        return (dseq, dz2.T @ x2, dr2.T @ x2, dh2.T @ x2,
                 dz2.T @ hp2, dr2.T @ hp2, dh2.T @ rh2,
-                dz2.sum(axis=0), dr2.sum(axis=0), dh2.sum(axis=0))
+                db[:m], db[m:2 * m], db[2 * m:])
 
     inputs = (seq, p.W_z, p.W_r, p.W_h, p.U_z, p.U_r, p.U_h, p.b_z, p.b_r, p.b_h)
     return make_op("gru_layer", inputs, out_data, bwd)

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -162,3 +163,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_checkpoint(tmp_path / "a.cncp", Checkpoint.from_model(model))
     leftovers = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
     assert leftovers == []
+
+
+def test_failed_save_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.cncp"
+    save_checkpoint(path, Checkpoint.from_model(build(small_config(), Prng(13))))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(path, Checkpoint.from_model(build(small_config(), Prng(14))))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.cncp"]

@@ -1,9 +1,10 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from chrononet.data.container import (Dataset, export_dataset, groups_path,
+from chrononet.data.container import (Dataset, atomic_write, export_dataset, groups_path,
                                       import_dataset, load_stats,
                                       read_manifest, save_stats)
 from chrononet.errors import DataError, FormatError
@@ -152,6 +153,26 @@ def test_stats_flag_distinguishes_files(tmp_path):
     save_stats(spath, np.zeros(2), np.ones(2))
     with pytest.raises(FormatError):
         import_dataset(spath)
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    data, stats = tmp_path / "d.cnds", tmp_path / "s.cnds"
+    export_dataset(data, sample_dataset(groups=False))
+    save_stats(stats, np.zeros(2), np.ones(2))
+    before = {p: p.read_bytes() for p in (data, stats)}
+    with pytest.raises(TypeError):
+        atomic_write(data, b"CNDS", object())
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        export_dataset(data, sample_dataset(seed=1, groups=False))
+    with pytest.raises(OSError, match="rename refused"):
+        save_stats(stats, np.ones(2), np.ones(2))
+    assert {p: p.read_bytes() for p in (data, stats)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.cnds", "s.cnds"]
 
 
 def test_stats_validation(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ def test_gru_layer_errors():
         gru_layer_forward(p, Tensor(np.zeros((1, 5, 4), dtype=np.float32)))
     with pytest.raises(ShapeError):
         gru_layer_forward(p, Tensor(np.zeros((2, 2), dtype=np.float32)))
+
+
+def test_gru_layer_keeps_input_copy_and_two_state_arrays():
+    # under a graph the backward closure holds the (T, B, n) input copy, the
+    # (T+1, B, m) hidden buffer and the (T, B, 3m) gate slab, nothing more
+    batch, n, steps, m = 8, 16, 200, 32
+    p = GruParams.init(Prng(26), n, m)
+    seq = Tensor(np.random.default_rng(26).normal(size=(batch, n, steps)).astype(np.float32),
+                 requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Graph() as g:
+            out = gru_layer_forward(p, seq)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 1
+    states = 4 * ((steps + 1) * batch * m + 3 * steps * batch * m)
+    assert kept < out.data.nbytes + seq.data.nbytes + states + 64 * 1024
 
 
 def test_gru_layer_zero_params_zero_output():

@@ -198,6 +198,27 @@ def test_normalize_peak_memory_stays_near_output():
     assert peak < 1.5 * x.nbytes
 
 
+def test_compute_stats_matches_whole_array_float64_formula():
+    rng = np.random.default_rng(7)
+    for shape in ((1, 1, 1), (3, 2, 7), (5, 4, 129), (4, 3, 1500)):
+        x = rng.normal(loc=3.0, scale=40.0, size=shape).astype(np.float32)
+        mean, std = compute_stats(x)
+        wide = x.astype(np.float64)
+        assert mean.tobytes() == wide.mean(axis=(0, 2)).tobytes()
+        assert std.tobytes() == wide.std(axis=(0, 2)).tobytes()
+
+
+def test_compute_stats_peak_memory_stays_below_input():
+    x = np.random.default_rng(8).normal(size=(22, 22, 1500)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        compute_stats(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
+
+
 def test_stats_contract():
     with pytest.raises(ContractError):
         compute_stats(np.zeros((3, 10)))

@@ -65,6 +65,18 @@ def test_sigmoid_is_stable_at_extremes():
     y = sigmoid(Tensor([1000.0, -1000.0])).data
     assert y[0] == 1.0 and y[1] == 0.0
     assert np.all(np.isfinite(y))
+    for dtype in (np.float32, np.float64):
+        with np.errstate(over="raise", invalid="raise"):
+            y = sigmoid(Tensor(np.array([1e4, -1e4, np.inf, -np.inf], dtype=dtype))).data
+        assert y.dtype == dtype
+        assert y.tolist() == [1.0, 0.0, 1.0, 0.0]
+        # bitwise equal to the two-branch formula on a spread of values
+        x = np.concatenate([np.linspace(-100.0, 100.0, 2001), [0.0, -0.0, 1e-30, -1e-30],
+                            np.random.default_rng(7).normal(scale=8.0, size=(500,))]
+                           ).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        assert sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
 
 
 def test_matmul_values_and_errors():
