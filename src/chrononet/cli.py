@@ -34,27 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+    values = tuple(int(x) for x in text.split(",") if x.strip())
     if not values:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
     return values
-
-
-# Casters for config-file values, keyed by argparse destination name.
-_CASTERS = {
-    "arch": str, "kernels": _int_list, "filters": int, "stride": int, "blocks": int,
-    "gru_widths": _int_list, "classes": int, "lr": float,
-    "batch": int, "epochs": int, "seed": int, "grad_clip": float,
-    "repeats": int, "jobs": int, "k": int, "tol": float,
-    "data": str, "test": str, "out": str, "checkpoint": str,
-    "best_checkpoint": str, "metrics": str,
-    "edf_dir": str, "manifest": str, "montage": str,
-    "per_class": int, "length": int, "channels": int, "noise": float,
-    "leak": float, "groups": int,
-}
 
 
 def _apply_config_file(args) -> None:
@@ -73,11 +56,14 @@ def _apply_config_file(args) -> None:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CASTERS or not hasattr(args, dest):
+        action = args.flags.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if getattr(args, dest) is None:  # explicit flags win over the file
-            setattr(args, dest, _CASTERS[dest](value))
+        if getattr(args, action.dest) is None:  # explicit flags win over the file
+            try:
+                setattr(args, action.dest, (action.type or str)(value))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
 
 
 def _fill_defaults(args, defaults: dict) -> None:
@@ -225,6 +211,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"jobs must be positive, got {args.jobs}")
     dataset = container.import_dataset(args.data)
     if dataset.groups is None:
         raise DataError(f"{args.data} has no groups sidecar; cross-validation needs "
@@ -255,6 +243,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _fill_defaults(args, {"per_class": 32})
+    if args.per_class < 1:
+        raise ConfigError(f"per-class must be positive, got {args.per_class}")
     spec = synthetic.SyntheticSpec(**_given(
         args, num_classes="classes", length="length", channels="channels",
         noise="noise", marginal_leak="leak", n_groups="groups", seed="seed",
@@ -395,6 +385,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_prepare, required_args=("edf_dir", "manifest", "out"))
 
+    for p in sub.choices.values():  # the keys a --config file may set
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.dest not in ("help", "config")})
     return parser
 
 

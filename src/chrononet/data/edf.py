@@ -118,6 +118,8 @@ def read_edf(path) -> EdfRecording:
         raise FormatError(f"signal count must be positive, got {ns}",
                           offset=offsets["signal_count"])
     record_count = _int(buf, offsets["record_count"], 8, "record count")
+    if record_count < -1:
+        raise FormatError(f"record count {record_count} is below -1", offset=offsets["record_count"])
     record_duration = _float(buf, offsets["record_duration"], 8, "record duration")
     if record_duration <= 0:
         raise FormatError(f"record duration must be positive, got {record_duration}",

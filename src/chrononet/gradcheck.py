@@ -85,10 +85,10 @@ def _block_linear(prng: Prng):
 
 
 def _block_conv1d(prng: Prng):
-    p = L.ConvParams.init(prng, 3, 4, 3, 2, dtype=np.float64)
+    block = L.InceptionConvBlock([L.ConvParams.init(prng, 3, 4, 3, 2, dtype=np.float64)])
     seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 12)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.conv1d_forward(p, seq))
-    named = [(f"conv.{n}", t) for n, t in p.tensors()] + [("seq", seq)]
+    _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
+    named = [(f"conv.{n}", t) for n, t in block.branches[0].tensors()] + [("seq", seq)]
     return loss_fn, named
 
 

@@ -17,6 +17,10 @@ node keeps the (T, B, n) input copy and two state arrays: the gate slab
 ``A`` (T, B, 3m), laid out z | r | h~ like the stacked input weights, and
 the hidden buffer ``H`` (T+1, B, m) with ``H[0] = 0``, so ``H[:-1]`` holds
 each step's previous state.
+
+A conv block, plain or inception, is one tape node tagged ``conv1d`` that
+pads its input once; for backward it keeps each branch's (B*T_out, C*k)
+window columns and the (B, F, T_out) output, whose sign gates the ReLU.
 """
 
 from dataclasses import dataclass
@@ -148,10 +152,6 @@ class ConvParams:
     @property
     def in_channels(self) -> int:
         return self.kernels.shape[1]
-
-    @property
-    def kernel_length(self) -> int:
-        return self.kernels.shape[2]
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -350,54 +350,60 @@ def conv1d_output_length(length: int, stride: int) -> int:
     return -(-length // stride)
 
 
-def conv1d_forward(p: ConvParams, seq: Tensor) -> Tensor:
-    """Strided cross-correlation with "same" zero padding, bias, then ReLU.
+def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
+    """Strided cross-correlation of every branch with "same" zero padding,
+    bias, then ReLU; the branches fill consecutive output channels.
 
-    Padding splits as floor((k-1)/2) on the left and ceil((k-1)/2) on the
-    right, so the output length is ceil(T / stride) for every kernel length.
+    A kernel of length k pads floor((k-1)/2) on the left and ceil((k-1)/2) on
+    the right, so the output length is ceil(T / stride) for every k.  The
+    input is padded once, for the longest kernel K, and a branch of length k
+    reads its windows at offset (K-1)//2 - (k-1)//2.
     """
     if seq.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, channels, time), got {seq.shape}")
     batch, in_ch, length = seq.shape
     if length == 0:
-        raise DataError("conv1d_forward: empty sequence (time extent 0)")
-    if in_ch != p.in_channels:
-        raise ShapeError(f"conv expects {p.in_channels} input channels, got {in_ch}")
-    out_ch, _, k = p.kernels.shape
-    stride = p.stride
-    pad_left = (k - 1) // 2
-    pad_right = (k - 1) - pad_left
+        raise DataError("inception_conv1d_forward: empty sequence (time extent 0)")
+    if in_ch != block.in_channels:
+        raise ShapeError(f"conv expects {block.in_channels} input channels, got {in_ch}")
+    stride, K = block.stride, max(br.kernels.shape[2] for br in block.branches)
+    pad_left = (K - 1) // 2
     t_out = conv1d_output_length(length, stride)
-
-    padded = np.pad(seq.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    windows = sliding_window_view(padded, k, axis=2)[:, :, ::stride, :]    # (B, C, T_out, k)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(batch * t_out, in_ch * k)
-    k2 = p.kernels.data.reshape(out_ch, in_ch * k)
-    pre = (cols @ k2.T).reshape(batch, t_out, out_ch).transpose(0, 2, 1) + p.bias.data[None, :, None]
-    out_data = np.maximum(pre, 0.0)
+    padded = np.pad(seq.data, ((0, 0), (0, 0), (pad_left, K - 1 - pad_left)))
+    windows = sliding_window_view(padded, K, axis=2)[:, :, ::stride].transpose(0, 2, 1, 3)
+    out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
+    saved, lo = [], 0   # per branch: params, first output channel, window offset, columns
+    for br in block.branches:
+        out_ch, _, k = br.kernels.shape
+        off = pad_left - (k - 1) // 2
+        # each branch's own contiguous columns: the bytes a lone branch would build
+        cols = np.ascontiguousarray(windows[..., off:off + k]).reshape(batch * t_out, in_ch * k)
+        pre = (cols @ br.kernels.data.reshape(out_ch, -1).T).reshape(batch, t_out, out_ch)
+        o = out_data[:, lo:lo + out_ch]
+        np.maximum(np.add(pre.transpose(0, 2, 1), br.bias.data[:, None], out=o), 0.0, out=o)
+        saved.append((br, lo, off, cols))
+        lo += out_ch
 
     def bwd(g):
-        gp = np.where(out_data > 0, g, 0.0)
-        db = gp.sum(axis=(0, 2))
-        g2 = np.ascontiguousarray(gp.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
-        dk = (g2.T @ cols).reshape(out_ch, in_ch, k)
-        dcols = (g2 @ k2).reshape(batch, t_out, in_ch, k).transpose(0, 2, 1, 3)
-        dpad = np.zeros_like(padded)
-        for j in range(k):
-            # for fixed kernel offset j the written positions never collide
-            dpad[:, :, j:j + stride * t_out:stride] += dcols[:, :, :, j]
-        dseq = dpad[:, :, pad_left:pad_left + length]
-        return np.ascontiguousarray(dseq), dk, db
+        grads, dseq = [], None
+        for br, lo, off, cols in reversed(saved):   # so dseq sums as (d2 + d1) + d0
+            out_ch, _, k = br.kernels.shape
+            gp = np.where(out_data[:, lo:lo + out_ch] > 0, g[:, lo:lo + out_ch], 0.0)
+            g2 = np.ascontiguousarray(gp.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
+            grads = [(g2.T @ cols).reshape(br.kernels.shape), gp.sum(axis=(0, 2))] + grads
+            if seq.requires_grad:   # false for conv0, whose input is the data
+                # tap-major and contiguous, so the col2im scatter reads whole rows
+                dcols = np.ascontiguousarray((g2 @ br.kernels.data.reshape(out_ch, -1))
+                                             .reshape(batch, t_out, in_ch, k).transpose(3, 0, 2, 1))
+                dpad = np.zeros((batch, in_ch, length + K - 1), dtype=seq.dtype)
+                for i in range(k):
+                    # for fixed kernel offset i the written positions never collide
+                    dpad[:, :, off + i:off + i + stride * t_out:stride] += dcols[i]
+                d = dpad[:, :, pad_left:pad_left + length]
+                dseq = d if dseq is None else dseq + d
+        return (None if dseq is None else np.ascontiguousarray(dseq), *grads)
 
-    return make_op("conv1d", (seq, p.kernels, p.bias), out_data, bwd)
-
-
-def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
-    """Run every branch convolution and concatenate along the channel axis."""
-    outs = [conv1d_forward(br, seq) for br in block.branches]
-    if len(outs) == 1:
-        return outs[0]
-    return concat(outs, axis=1)
+    return make_op("conv1d", (seq, *(t for _, t in block.tensors())), out_data, bwd)
 
 
 def dense_gru_forward(stack: DenseGruStack, seq: Tensor) -> Tensor:

@@ -5,9 +5,9 @@ from chrononet.architectures import (ARCHITECTURES, ConvBlockSpec, ModelConfig,
                                      build, conv_stage_shapes, default_config,
                                      forward, parameter_count)
 from chrononet.errors import ConfigError, ShapeError
-from chrononet.layers import (conv1d_forward, dense_gru_forward,
-                              last_time_step, linear_forward)
+from chrononet.layers import dense_gru_forward, last_time_step, linear_forward
 from chrononet.tensor import Prng, Tensor
+from test_layers import conv_reference
 
 
 def test_default_presets():
@@ -121,11 +121,11 @@ def test_crnn_equals_manual_composition():
     x = np.random.default_rng(3).normal(size=(2, 2, 16))
     out = forward(model, x)
 
-    h = Tensor(x)
+    h = x
     for block in model.conv_blocks:
         assert len(block.branches) == 1
-        h = conv1d_forward(block.branches[0], h)
-    h = dense_gru_forward(model.gru_stack, h)
+        h = conv_reference(block, h)
+    h = dense_gru_forward(model.gru_stack, Tensor(h))
     expected = linear_forward(model.readout_W, model.readout_b, last_time_step(h))
     assert np.allclose(out.data, expected.data)
 

@@ -65,6 +65,22 @@ def test_config_error_unknown_key(tmp_path, capsys):
     assert "warp_speed" in err and "run.cfg:2" in err
 
 
+def test_config_values_cast_by_the_flag_type(tmp_path, capsys):
+    # each value goes through its flag's argparse type; a rejected one names
+    # the file and line and exits 1 before any data is read
+    cfg = tmp_path / "run.cfg"
+    for text, line in (("epochs=abc\n", 1), ("seed=3\nlr=fast\n", 2),
+                       ("kernels=2,x\n", 1), ("gru-widths=,\n", 1)):
+        cfg.write_text(text)
+        assert main(["train", "--data", str(tmp_path / "none.cnds"),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"run.cfg:{line}:" in err
+    cfg.write_text("per-class=0\n")
+    assert main(["synth", "--out", str(tmp_path / "x.cnds"), "--config", str(cfg)]) == 1
+    assert "per-class must be positive" in capsys.readouterr().err
+
+
 def test_data_error_bad_container(tmp_path, capsys):
     bad = tmp_path / "bad.cnds"
     bad.write_bytes(b"garbage here")
@@ -119,13 +135,13 @@ def test_non_finite_gradient_stops_before_update(tmp_path, monkeypatch, capsys):
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     import chrononet.layers as layers_mod
     from chrononet.tensor import make_op
-    real = layers_mod.conv1d_forward
+    real = layers_mod.inception_conv1d_forward
 
-    def corrupted(params, seq):
-        out = real(params, seq)
+    def corrupted(block, seq):
+        out = real(block, seq)
         return make_op("corrupt", (out,), out.data.copy(), lambda g: (1.01 * g,))
 
-    monkeypatch.setattr(layers_mod, "conv1d_forward", corrupted)
+    monkeypatch.setattr(layers_mod, "inception_conv1d_forward", corrupted)
     assert main(["gradcheck"]) == 4
     assert "FAIL" in capsys.readouterr().out
 
@@ -160,6 +176,14 @@ def test_synth_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.cnds.groups").read_bytes() == \
         (tmp_path / "b.cnds.groups").read_bytes()
+
+
+def test_synth_rejects_non_positive_per_class(tmp_path, capsys):
+    out = tmp_path / "x.cnds"
+    for count in ("0", "-1"):
+        assert main(["synth", "--out", str(out), "--per-class", count]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_synth_rejects_bad_spec(tmp_path, capsys):
@@ -382,6 +406,12 @@ def test_cv_requires_groups_sidecar(tmp_path, capsys):
     (tmp_path / "data.cnds.groups").unlink()
     assert main(["cv", "--data", str(data), *TRAIN_FLAGS]) == 2
     assert "groups" in capsys.readouterr().err
+
+
+def test_cv_rejects_non_positive_jobs_before_reading(tmp_path, capsys):
+    for jobs in ("0", "-3"):
+        assert main(["cv", "--data", str(tmp_path / "none.cnds"), "--jobs", jobs]) == 1
+        assert "jobs must be positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

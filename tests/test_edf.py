@@ -109,6 +109,16 @@ def test_unknown_record_count_inferred(tmp_path):
 # malformed input
 
 
+def test_record_count_below_minus_one_rejected(tmp_path):
+    path = make_file(tmp_path, [np.linspace(-1, 1, 300)], rate=100.0)
+    blob = bytearray(path.read_bytes())
+    blob[236:244] = b"-5      "
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="record count -5") as err:
+        read_edf(path)
+    assert err.value.offset == 236
+
+
 def test_short_file_reports_offset(tmp_path):
     path = tmp_path / "tiny.edf"
     path.write_bytes(b"0" * 100)

@@ -6,7 +6,7 @@ import pytest
 from chrononet.errors import ConfigError, DataError, ShapeError
 from chrononet.layers import (ConvParams, DenseGruStack, GruParams,
                               InceptionConvBlock, connection_count,
-                              conv1d_forward, conv1d_output_length,
+                              conv1d_output_length,
                               dense_gru_forward, glorot_uniform,
                               gru_layer_forward, gru_step,
                               inception_conv1d_forward, last_time_step,
@@ -193,45 +193,72 @@ def test_conv_output_length_law():
             assert conv1d_output_length(length, stride) == int(np.ceil(length / stride))
 
 
+def conv_reference(block, seq):
+    """Brute-force "same" cross-correlation, bias and ReLU of every branch,
+    each padded for its own kernel length, concatenated on channels."""
+    batch, in_ch, length = seq.shape
+    outs = []
+    for br in block.branches:
+        w, b, stride = br.kernels.data, br.bias.data, br.stride
+        out_ch, _, k = w.shape
+        pad_left = (k - 1) // 2
+        t_out = -(-length // stride)
+        out = np.zeros((batch, out_ch, t_out))
+        for bi in range(batch):
+            for oc in range(out_ch):
+                for t in range(t_out):
+                    acc = 0.0
+                    for ic in range(in_ch):
+                        for j in range(k):
+                            src = t * stride + j - pad_left
+                            if 0 <= src < length:
+                                acc += seq[bi, ic, src] * w[oc, ic, j]
+                    out[bi, oc, t] = max(acc + b[oc], 0.0)
+        outs.append(out)
+    return np.concatenate(outs, axis=1)
+
+
+def _plain(p):
+    return InceptionConvBlock([p])
+
+
 def test_conv_identity_kernel():
     p = ConvParams(Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)), 1)
     seq = Tensor(np.abs(np.random.default_rng(9).normal(size=(2, 1, 6))))
-    out = conv1d_forward(p, seq)
+    out = inception_conv1d_forward(_plain(p), seq)
     assert np.allclose(out.data, seq.data)  # positive input passes ReLU untouched
 
 
 def test_conv_hand_case_k2():
     # [1,2,3,4] with kernel [1,1], stride 1, same padding -> [3,5,7,4]
     p = ConvParams(Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)), 1)
-    out = conv1d_forward(p, Tensor([[[1.0, 2.0, 3.0, 4.0]]]))
+    out = inception_conv1d_forward(_plain(p), Tensor([[[1.0, 2.0, 3.0, 4.0]]]))
     assert np.allclose(out.data, [[[3.0, 5.0, 7.0, 4.0]]])
 
 
 def test_conv_matches_brute_force():
+    # every branch of blocks whose kernels are listed out of order, at strides
+    # that do and do not divide the length
     rng = np.random.default_rng(10)
-    p = ConvParams.init(Prng(11), 3, 4, 5, 2, dtype=np.float64)
-    seq = rng.normal(size=(2, 3, 9))
-    out = conv1d_forward(p, Tensor(seq))
-    k = 5
-    pad_left, pad_right = 2, 2
-    padded = np.pad(seq, ((0, 0), (0, 0), (pad_left, pad_right)))
-    t_out = conv1d_output_length(9, 2)
-    expected = np.zeros((2, 4, t_out))
-    for bi in range(2):
-        for oc in range(4):
-            for t in range(t_out):
-                acc = 0.0
-                for ic in range(3):
-                    for j in range(k):
-                        acc += padded[bi, ic, t * 2 + j] * p.kernels.data[oc, ic, j]
-                expected[bi, oc, t] = max(acc + p.bias.data[oc], 0.0)
-    assert np.allclose(out.data, expected, atol=1e-12)
+    for kernels in ((8, 2, 3), (2, 4, 8)):
+        for stride in (1, 2, 3):
+            prng = Prng(11 + stride)
+            block = InceptionConvBlock([ConvParams.init(prng, 3, 2, k, stride, dtype=np.float64)
+                                        for k in kernels])
+            for br in block.branches:
+                br.bias.data[:] = prng.normal(0.0, 0.1, br.bias.shape)
+            seq = rng.normal(size=(2, 3, 13))
+            out = inception_conv1d_forward(block, Tensor(seq))
+            assert out.shape == (2, 6, conv1d_output_length(13, stride))
+            assert np.allclose(out.data, conv_reference(block, seq), rtol=0, atol=1e-12)
 
 
 def test_conv_channel_mismatch():
     p = ConvParams.init(Prng(12), 3, 4, 3, 1)
     with pytest.raises(ShapeError):
-        conv1d_forward(p, Tensor(np.zeros((1, 2, 8), dtype=np.float32)))
+        inception_conv1d_forward(_plain(p), Tensor(np.zeros((1, 2, 8), dtype=np.float32)))
+    with pytest.raises(DataError):
+        inception_conv1d_forward(_plain(p), Tensor(np.zeros((1, 3, 0), dtype=np.float32)))
 
 
 def test_inception_concatenates_branches():
@@ -242,16 +269,66 @@ def test_inception_concatenates_branches():
     seq = Tensor(np.random.default_rng(13).normal(size=(2, 2, 12)))
     out = inception_conv1d_forward(block, seq)
     assert out.shape == (2, 9, 6)
-    parts = [conv1d_forward(br, seq) for br in block.branches]
-    assert np.allclose(out.data, np.concatenate([p.data for p in parts], axis=1))
+    for j, br in enumerate(block.branches):
+        alone = inception_conv1d_forward(_plain(br), seq)
+        assert np.array_equal(out.data[:, 3 * j:3 * j + 3], alone.data)
 
 
 def test_inception_single_branch_is_plain_conv():
     p = ConvParams.init(Prng(14), 2, 3, 4, 2, dtype=np.float64)
     block = InceptionConvBlock([p])
-    seq = Tensor(np.random.default_rng(14).normal(size=(1, 2, 10)))
-    assert np.allclose(inception_conv1d_forward(block, seq).data,
-                       conv1d_forward(p, seq).data)
+    seq = np.random.default_rng(14).normal(size=(1, 2, 10))
+    with Graph() as g:
+        out = inception_conv1d_forward(block, Tensor(seq, requires_grad=True))
+    assert len(g) == 1
+    assert np.allclose(out.data, conv_reference(block, seq), rtol=0, atol=1e-12)
+
+
+def test_inception_block_is_one_tape_node():
+    prng = Prng(27)
+    block = InceptionConvBlock([ConvParams.init(prng, 2, 3, k, 2) for k in (2, 4, 8)])
+    with Graph() as g:
+        out = inception_conv1d_forward(block, Tensor(np.ones((2, 2, 12), dtype=np.float32),
+                                                     requires_grad=True))
+    assert len(g) == 1 and g.nodes[0].tag == "conv1d" and g.nodes[0].out is out
+
+
+def test_inception_block_keeps_columns_and_output():
+    # under a graph the node holds each branch's window columns and the
+    # output, not the padded input or per-branch copies of the output
+    batch, ch, length, stride, filters = 8, 22, 256, 2, 32
+    kernels = (2, 4, 8)
+    block = InceptionConvBlock([ConvParams.init(Prng(28), ch, filters, k, stride)
+                                for k in kernels])
+    seq = Tensor(np.random.default_rng(28).normal(size=(batch, ch, length)).astype(np.float32),
+                 requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Graph() as g:
+            out = inception_conv1d_forward(block, seq)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 1
+    t_out = conv1d_output_length(length, stride)
+    cols = 4 * batch * t_out * ch * sum(kernels)
+    assert kept < cols + out.data.nbytes + 64 * 1024
+
+
+def test_conv_input_gradient_only_when_required():
+    prng = Prng(29)
+    block = InceptionConvBlock([ConvParams.init(prng, 2, 3, k, 2, dtype=np.float64)
+                                for k in (2, 3)])
+    seq = np.random.default_rng(29).normal(size=(2, 2, 9))
+    grads = {}
+    for req in (False, True):
+        x = Tensor(seq, requires_grad=req)
+        with Graph() as g:
+            loss = tsum(inception_conv1d_forward(block, x))
+        grads[req] = backward(loss, g)
+        assert (x in grads[req]) == req
+    for _, t in block.tensors():
+        assert np.array_equal(grads[False][t], grads[True][t])
 
 
 def test_inception_rejects_mismatched_branches():
