@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import (
-    ConvParams,
     DenseGruStack,
-    GruParams,
     InceptionConvBlock,
     Tensor,
     conv1d_output_length,
@@ -143,27 +141,12 @@ def build(config: ModelConfig, prng: Prng) -> Model:
     conv_blocks: list[InceptionConvBlock] = []
     in_ch = config.input_channels
     for spec in config.conv_blocks:
-        branches = [
-            ConvParams.init(prng, in_ch, spec.filters_per_kernel, k, spec.stride, dtype)
-            for k in spec.kernel_lengths
-        ]
-        block = InceptionConvBlock(branches)
-        conv_blocks.append(block)
-        in_ch = block.out_channels
+        conv_blocks.append(InceptionConvBlock.init(
+            prng, in_ch, spec.filters_per_kernel, spec.kernel_lengths, spec.stride, dtype))
+        in_ch = conv_blocks[-1].out_channels
+    stack = DenseGruStack.init(prng, in_ch, config.gru_widths, config.dense_wiring, dtype)
 
-    gru_layers: list[GruParams] = []
-    widths = list(config.gru_widths)
-    for k, width in enumerate(widths):
-        if k == 0:
-            layer_in = in_ch
-        elif config.dense_wiring:
-            layer_in = sum(widths[:k])
-        else:
-            layer_in = widths[k - 1]
-        gru_layers.append(GruParams.init(prng, layer_in, width, dtype))
-    stack = DenseGruStack(gru_layers, dense=config.dense_wiring)
-
-    readout_in = widths[-1]
+    readout_in = config.gru_widths[-1]
     readout_W = Tensor(glorot_uniform(prng, (config.num_classes, readout_in),
                                       readout_in, config.num_classes, dtype),
                        requires_grad=True)

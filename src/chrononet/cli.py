@@ -243,8 +243,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _fill_defaults(args, {"per_class": 32})
-    if args.per_class < 1:
-        raise ConfigError(f"per-class must be positive, got {args.per_class}")
     spec = synthetic.SyntheticSpec(**_given(
         args, num_classes="classes", length="length", channels="channels",
         noise="noise", marginal_leak="leak", n_groups="groups", seed="seed",
@@ -274,7 +272,6 @@ def cmd_prepare(args) -> int:
     if not entries:
         raise DataError(f"{args.manifest}: manifest lists no sessions")
     pairs = montage.load_montage(args.montage) if args.montage else montage.default_montage()
-    spec = preprocess.WindowSpec()
 
     windows = {"train": [], "test": []}
     labels = {"train": [], "test": []}
@@ -284,10 +281,9 @@ def cmd_prepare(args) -> int:
             else os.path.join(args.edf_dir, entry.path)
         rec = _prepare_stage("read_edf", path, lambda p=path: read_edf(p))
         sig = _prepare_stage("apply_montage", path, lambda r=rec: montage.apply_montage(r, pairs))
-        sig = _prepare_stage("resample", path,
-                             lambda s=sig: preprocess.resample_recording(s, spec.target_hz))
+        sig = _prepare_stage("resample", path, lambda s=sig: preprocess.resample_recording(s))
         cut = _prepare_stage("extract_windows", path,
-                             lambda s=sig, e=entry: preprocess.extract_windows(s, spec, e.split))
+                             lambda s=sig, e=entry: preprocess.extract_windows(s, e.split))
         windows[entry.split].extend(cut)
         labels[entry.split].extend([entry.label] * len(cut))
         patients[entry.split].extend([entry.patient_id] * len(cut))

@@ -85,7 +85,11 @@ def export_dataset(path, dataset: Dataset) -> None:
     atomic_write(path, header, records)
     if dataset.groups is not None:
         text = "".join(f"{g}\n" for g in dataset.groups)
-        atomic_write(groups_path(path), text.encode())
+        try:
+            atomic_write(groups_path(path), text.encode())
+        except BaseException:
+            os.unlink(path)   # a dataset without its sidecar is not written
+            raise
 
 
 def import_dataset(path) -> Dataset:

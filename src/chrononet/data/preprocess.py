@@ -1,7 +1,6 @@
 """Rate conversion, minute windowing, and z-score normalization."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,6 +8,11 @@ from ..errors import ConfigError, ContractError, DataError
 from .montage import Recording
 
 FIR_TAPS = 63
+TARGET_HZ = 250.0        # the one rate every recording is windowed at
+WINDOW_SECONDS = 60
+WINDOW_SAMPLES = int(WINDOW_SECONDS * TARGET_HZ)
+MAX_TRAIN_WINDOWS = 11   # per train session
+TEST_WINDOWS = 1         # per test session: its first minute
 
 
 def _lowpass_taps(cutoff_hz: float, rate_hz: float) -> np.ndarray:
@@ -20,7 +24,7 @@ def _lowpass_taps(cutoff_hz: float, rate_hz: float) -> np.ndarray:
     return h / h.sum()
 
 
-def resample(signal: np.ndarray, from_hz: float, to_hz: float = 250.0) -> np.ndarray:
+def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np.ndarray:
     """Convert the last axis of `signal` onto a uniform to_hz grid.
 
     Downsampling low-passes at 0.45*to_hz first (group delay compensated by
@@ -50,45 +54,34 @@ def _resample_1d(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
     return np.interp(positions, np.arange(n), x)
 
 
-def resample_recording(rec: Recording, to_hz: float = 250.0) -> Recording:
+def resample_recording(rec: Recording, to_hz: float = TARGET_HZ) -> Recording:
     if rec.rate == to_hz:
         return rec
     return Recording(data=resample(rec.data, rec.rate, to_hz), rate=to_hz,
                      patient_id=rec.patient_id, session_id=rec.session_id)
 
 
-@dataclass
-class WindowSpec:
-    window_seconds: int = 60
-    max_train_windows: int = 11
-    test_windows: int = 1
-    target_hz: float = 250.0
-
-    @property
-    def window_samples(self) -> int:
-        return int(self.window_seconds * self.target_hz)
-
-
-def extract_windows(rec: Recording, spec: WindowSpec, split: str) -> list[np.ndarray]:
+def extract_windows(rec: Recording, split: str) -> list[np.ndarray]:
     """Cut consecutive non-overlapping windows starting at t=0.
 
-    Train sessions contribute up to max_train_windows; test sessions exactly
-    one (the first minute) and must therefore be at least one window long.
+    Train sessions contribute up to MAX_TRAIN_WINDOWS; test sessions exactly
+    TEST_WINDOWS (the first minute) and must therefore be at least one window
+    long.
     """
     if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
-    if abs(rec.rate - spec.target_hz) > 1e-6:
+    if abs(rec.rate - TARGET_HZ) > 1e-6:
         raise DataError(f"session {rec.session_id!r}: sampled at {rec.rate} Hz, "
-                        f"windowing requires {spec.target_hz} Hz")
-    w = spec.window_samples
+                        f"windowing requires {TARGET_HZ} Hz")
+    w = WINDOW_SAMPLES
     full = rec.samples // w
     if split == "test":
         if full < 1:
             raise DataError(f"session {rec.session_id!r}: {rec.duration:.1f} s is shorter "
-                            f"than one {spec.window_seconds} s test window")
-        count = spec.test_windows
+                            f"than one {WINDOW_SECONDS} s test window")
+        count = TEST_WINDOWS
     else:
-        count = min(spec.max_train_windows, full)
+        count = min(MAX_TRAIN_WINDOWS, full)
     return [rec.data[:, i * w:(i + 1) * w].astype(np.float32) for i in range(count)]
 
 

@@ -17,14 +17,18 @@ from ..tensor import Prng
 from .container import Dataset
 
 
+MOTIF_WIDTH = 4
+MOTIF_SPACING = 32
+ENVELOPE_PERIOD = 64.0
+JOINT_FLOOR = 0.95      # self-check: both cues together decode at least this
+SINGLE_CEILING = 0.70   # self-check: either cue alone decodes at most this
+
+
 @dataclass
 class SyntheticSpec:
     num_classes: int = 2
     length: int = 512
     channels: int = 2
-    motif_width: int = 4
-    motif_spacing: int = 32
-    envelope_period: float = 64.0
     noise: float = 0.5
     marginal_leak: float = 0.65
     n_groups: int = 10
@@ -33,9 +37,9 @@ class SyntheticSpec:
     def validate(self) -> "SyntheticSpec":
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.length < 2 * self.motif_spacing:
+        if self.length < 2 * MOTIF_SPACING:
             raise ConfigError(f"length {self.length} too short for motif spacing "
-                              f"{self.motif_spacing}")
+                              f"{MOTIF_SPACING}")
         if self.channels < 1:
             raise ConfigError(f"channels must be positive, got {self.channels}")
         if not 0.0 < self.marginal_leak <= 1.0:
@@ -56,25 +60,23 @@ _BASE_PATTERNS = np.array([
 
 
 def motif_patterns(spec: SyntheticSpec) -> np.ndarray:
-    """One distinct sign pattern per class, width motif_width.
+    """One distinct sign pattern per class, width MOTIF_WIDTH.
 
     The first four are fixed; extra classes draw random sign rows, rejecting
     duplicates so every class keeps a unique fingerprint. 2^width patterns
     exist, so the class count is capped accordingly.
     """
     k = spec.num_classes
-    width = spec.motif_width
-    base = _BASE_PATTERNS if width == 4 else np.empty((0, width))
-    if k <= len(base):
-        return base[:k].copy()
-    if k > 2 ** width:
-        raise ConfigError(f"only {2 ** width} distinct width-{width} patterns exist, "
+    if k <= len(_BASE_PATTERNS):
+        return _BASE_PATTERNS[:k].copy()
+    if k > 2 ** MOTIF_WIDTH:
+        raise ConfigError(f"only {2 ** MOTIF_WIDTH} distinct width-{MOTIF_WIDTH} patterns exist, "
                           f"cannot label {k} classes")
     rng = Prng(Prng(spec.seed).derive(0xA11))
-    rows = [tuple(row) for row in base]
+    rows = [tuple(row) for row in _BASE_PATTERNS]
     seen = set(rows)
     while len(rows) < k:
-        draw = np.sign(rng.normal(0.0, 1.0, width))
+        draw = np.sign(rng.normal(0.0, 1.0, MOTIF_WIDTH))
         draw[draw == 0] = 1.0
         key = tuple(draw)
         if key not in seen:
@@ -84,16 +86,18 @@ def motif_patterns(spec: SyntheticSpec) -> np.ndarray:
 
 
 def envelope_periods(spec: SyntheticSpec) -> np.ndarray:
-    """Geometric spread of periods from envelope_period downward (64 -> 45 for 2)."""
+    """Geometric spread of periods from ENVELOPE_PERIOD downward (64 -> 45 for 2)."""
     k = spec.num_classes
     ratio = 45.0 / 64.0
     exponents = np.arange(k) / max(1, k - 1)
-    return spec.envelope_period * ratio ** exponents
+    return ENVELOPE_PERIOD * ratio ** exponents
 
 
 def generate_synthetic(spec: SyntheticSpec, n_per_class: int) -> Dataset:
     """Deterministic draw of n_per_class samples per class, labels interleaved."""
     spec.validate()
+    if n_per_class < 1:
+        raise ConfigError(f"per-class must be positive, got {n_per_class}")
     k = spec.num_classes
     total = k * n_per_class
     patterns = motif_patterns(spec)
@@ -119,13 +123,13 @@ def generate_synthetic(spec: SyntheticSpec, n_per_class: int) -> Dataset:
         phase = rng.uniform(0.0, 2 * np.pi, ())
         x += np.sin(2 * np.pi * t / periods[env] + phase)
 
-        jitter_span = max(1, spec.motif_spacing // 8)
-        start = spec.motif_spacing // 2
-        while start + spec.motif_width <= spec.length:
+        jitter_span = max(1, MOTIF_SPACING // 8)
+        start = MOTIF_SPACING // 2
+        while start + MOTIF_WIDTH <= spec.length:
             jitter = int(rng.integers(-jitter_span, jitter_span + 1))
-            pos = min(max(0, start + jitter), spec.length - spec.motif_width)
-            x[:, pos:pos + spec.motif_width] += patterns[motif]
-            start += spec.motif_spacing
+            pos = min(max(0, start + jitter), spec.length - MOTIF_WIDTH)
+            x[:, pos:pos + MOTIF_WIDTH] += patterns[motif]
+            start += MOTIF_SPACING
 
         samples[i] = x.astype(np.float32)
         labels[i] = label
@@ -137,14 +141,12 @@ class SelfCheck:
     joint_accuracy: float
     motif_accuracy: float
     envelope_accuracy: float
-    joint_floor: float = 0.95
-    single_ceiling: float = 0.70
 
     @property
     def passed(self) -> bool:
-        return (self.joint_accuracy >= self.joint_floor
-                and self.motif_accuracy <= self.single_ceiling
-                and self.envelope_accuracy <= self.single_ceiling)
+        return (self.joint_accuracy >= JOINT_FLOOR
+                and self.motif_accuracy <= SINGLE_CEILING
+                and self.envelope_accuracy <= SINGLE_CEILING)
 
 
 def _majority_map_accuracy(feature: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -85,20 +85,18 @@ def _block_linear(prng: Prng):
 
 
 def _block_conv1d(prng: Prng):
-    block = L.InceptionConvBlock([L.ConvParams.init(prng, 3, 4, 3, 2, dtype=np.float64)])
+    block = L.InceptionConvBlock.init(prng, 3, 4, (3,), 2, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 12)), requires_grad=True)
     _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
-    named = [(f"conv.{n}", t) for n, t in block.branches[0].tensors()] + [("seq", seq)]
+    named = [("conv.kernels", block.kernels[0]), ("conv.bias", block.biases[0]), ("seq", seq)]
     return loss_fn, named
 
 
 def _block_inception(prng: Prng):
-    block = L.InceptionConvBlock([
-        L.ConvParams.init(prng, 2, 2, k, 2, dtype=np.float64) for k in (2, 4, 8)
-    ])
+    block = L.InceptionConvBlock.init(prng, 2, 2, (2, 4, 8), 2, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 12)), requires_grad=True)
     _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
-    named = [(n, t) for n, t in block.tensors()] + [("seq", seq)]
+    named = block.tensors() + [("seq", seq)]
     return loss_fn, named
 
 
@@ -111,16 +109,10 @@ def _block_gru_layer(prng: Prng):
 
 
 def _block_dense_stack(prng: Prng):
-    widths = [3, 4, 5]
-    layers = []
-    in_w = 2
-    for k, width in enumerate(widths):
-        layers.append(L.GruParams.init(prng, in_w, width, dtype=np.float64))
-        in_w = sum(widths[:k + 1])
-    stack = L.DenseGruStack(layers, dense=True)
+    stack = L.DenseGruStack.init(prng, 2, [3, 4, 5], dense=True, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 6)), requires_grad=True)
     _, loss_fn = _projection(prng, lambda: L.dense_gru_forward(stack, seq))
-    named = list(stack.tensors()) + [("seq", seq)]
+    named = stack.tensors() + [("seq", seq)]
     return loss_fn, named
 
 

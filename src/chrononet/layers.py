@@ -18,9 +18,13 @@ node keeps the (T, B, n) input copy and two state arrays: the gate slab
 the hidden buffer ``H`` (T+1, B, m) with ``H[0] = 0``, so ``H[:-1]`` holds
 each step's previous state.
 
-A conv block, plain or inception, is one tape node tagged ``conv1d`` that
-pads its input once; for backward it keeps each branch's (B*T_out, C*k)
-window columns and the (B, F, T_out) output, whose sign gates the ReLU.
+A conv block, plain or inception, owns one kernel and one bias per branch
+and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
+its input once; for backward it keeps each branch's (B*T_out, C*k) window
+columns and the (B, F, T_out) output, whose sign gates the ReLU.
+
+Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
+order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
 """
 
 from dataclasses import dataclass
@@ -127,81 +131,58 @@ class GruParams:
 
 
 @dataclass
-class ConvParams:
-    """One strided 1-D convolution: kernels (out_ch, in_ch, k), bias, stride."""
+class InceptionConvBlock:
+    """Parallel strided convolutions over the same input, concatenated on
+    channels: branch j holds kernels[j] (out_ch, in_ch, k_j) and biases[j].
+    A plain block is the one-branch case; every branch shares one stride."""
 
-    kernels: Tensor
-    bias: Tensor
+    kernels: list[Tensor]
+    biases: list[Tensor]
     stride: int
 
     def __post_init__(self):
-        if self.kernels.data.ndim != 3:
-            raise ConfigError(f"conv kernels must be 3-axis, got shape {self.kernels.shape}")
-        out_ch, _, k = self.kernels.shape
-        if self.bias.shape != (out_ch,):
-            raise ConfigError(f"conv bias must have length {out_ch}, got {self.bias.shape}")
-        if k < 1:
-            raise ConfigError(f"kernel length must be >= 1, got {k}")
+        if not self.kernels:
+            raise ConfigError("inception block needs at least one branch")
+        if len(self.biases) != len(self.kernels):
+            raise ConfigError(f"{len(self.kernels)} kernels but {len(self.biases)} biases")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernels.shape[1]
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        return [("kernels", self.kernels), ("bias", self.bias)]
-
-    @classmethod
-    def init(cls, prng: Prng, in_channels: int, out_channels: int, kernel_length: int,
-             stride: int, dtype=np.float32) -> "ConvParams":
-        fan_in = in_channels * kernel_length
-        fan_out = out_channels * kernel_length
-        kernels = Tensor(glorot_uniform(prng, (out_channels, in_channels, kernel_length),
-                                        fan_in, fan_out, dtype), requires_grad=True)
-        bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-        return cls(kernels, bias, stride)
-
-
-@dataclass
-class InceptionConvBlock:
-    """Parallel convolutions over the same input, concatenated on channels."""
-
-    branches: list[ConvParams]
-
-    def __post_init__(self):
-        if not self.branches:
-            raise ConfigError("inception block needs at least one branch")
-        stride = self.branches[0].stride
-        in_ch = self.branches[0].in_channels
-        for br in self.branches[1:]:
-            if br.stride != stride:
-                raise ConfigError(f"inception branches must share stride: {stride} vs {br.stride}")
-            if br.in_channels != in_ch:
+        for w, b in zip(self.kernels, self.biases):
+            if w.data.ndim != 3:
+                raise ConfigError(f"conv kernels must be 3-axis, got shape {w.shape}")
+            out_ch, in_ch, k = w.shape
+            if b.shape != (out_ch,):
+                raise ConfigError(f"conv bias must have length {out_ch}, got {b.shape}")
+            if k < 1:
+                raise ConfigError(f"kernel length must be >= 1, got {k}")
+            if in_ch != self.in_channels:
                 raise ConfigError(
-                    f"inception branches must share in_channels: {in_ch} vs {br.in_channels}")
-
-    @property
-    def stride(self) -> int:
-        return self.branches[0].stride
+                    f"inception branches must share in_channels: {self.in_channels} vs {in_ch}")
 
     @property
     def in_channels(self) -> int:
-        return self.branches[0].in_channels
+        return self.kernels[0].shape[1]
 
     @property
     def out_channels(self) -> int:
-        return sum(br.out_channels for br in self.branches)
+        return sum(w.shape[0] for w in self.kernels)
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         out = []
-        for j, br in enumerate(self.branches):
-            out.extend((f"branch{j}.{name}", t) for name, t in br.tensors())
+        for j, (w, b) in enumerate(zip(self.kernels, self.biases)):
+            out.extend(((f"branch{j}.kernels", w), (f"branch{j}.bias", b)))
         return out
+
+    @classmethod
+    def init(cls, prng: Prng, in_channels: int, filters: int, kernel_lengths,
+             stride: int, dtype=np.float32) -> "InceptionConvBlock":
+        # Draw order is part of the determinism contract: kernels in branch order.
+        kernels = [Tensor(glorot_uniform(prng, (filters, in_channels, k), in_channels * k,
+                                         filters * k, dtype), requires_grad=True)
+                   for k in kernel_lengths]
+        biases = [Tensor(np.zeros(filters, dtype=dtype), requires_grad=True)
+                  for _ in kernel_lengths]
+        return cls(kernels, biases, stride)
 
 
 @dataclass
@@ -216,25 +197,34 @@ class DenseGruStack:
     layers: list[GruParams]
     dense: bool = False
 
+    @staticmethod
+    def _input_widths(input_size: int, widths, dense: bool) -> list[int]:
+        """The input width the wiring gives each layer of the given widths."""
+        return [input_size] + [sum(widths[:k]) if dense else widths[k - 1]
+                               for k in range(1, len(widths))]
+
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("gru stack needs at least one layer")
-        widths = [p.hidden_size for p in self.layers]
-        for k, p in enumerate(self.layers[1:], start=1):
-            expected = sum(widths[:k]) if self.dense else widths[k - 1]
-            if p.input_size != expected:
+        expected = self._input_widths(self.layers[0].input_size,
+                                      [p.hidden_size for p in self.layers], self.dense)
+        for k, (p, n) in enumerate(zip(self.layers, expected)):
+            if p.input_size != n:
                 raise ConfigError(
-                    f"gru layer {k} declares input width {p.input_size}, wiring provides {expected}")
-
-    @property
-    def input_size(self) -> int:
-        return self.layers[0].input_size
+                    f"gru layer {k} declares input width {p.input_size}, wiring provides {n}")
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         out = []
         for k, p in enumerate(self.layers):
             out.extend((f"gru{k}.{name}", t) for name, t in p.tensors())
         return out
+
+    @classmethod
+    def init(cls, prng: Prng, input_size: int, widths, dense: bool,
+             dtype=np.float32) -> "DenseGruStack":
+        # Draws layer by layer, each in GruParams.init's order.
+        sizes = cls._input_widths(input_size, widths, dense)
+        return cls([GruParams.init(prng, n, m, dtype) for n, m in zip(sizes, widths)], dense)
 
 
 def connection_count(num_layers: int, dense: bool) -> int:
@@ -366,34 +356,34 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
         raise DataError("inception_conv1d_forward: empty sequence (time extent 0)")
     if in_ch != block.in_channels:
         raise ShapeError(f"conv expects {block.in_channels} input channels, got {in_ch}")
-    stride, K = block.stride, max(br.kernels.shape[2] for br in block.branches)
+    stride, K = block.stride, max(w.shape[2] for w in block.kernels)
     pad_left = (K - 1) // 2
     t_out = conv1d_output_length(length, stride)
     padded = np.pad(seq.data, ((0, 0), (0, 0), (pad_left, K - 1 - pad_left)))
     windows = sliding_window_view(padded, K, axis=2)[:, :, ::stride].transpose(0, 2, 1, 3)
     out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
-    saved, lo = [], 0   # per branch: params, first output channel, window offset, columns
-    for br in block.branches:
-        out_ch, _, k = br.kernels.shape
+    saved, lo = [], 0   # per branch: kernels, first output channel, window offset, columns
+    for w, b in zip(block.kernels, block.biases):
+        out_ch, _, k = w.shape
         off = pad_left - (k - 1) // 2
         # each branch's own contiguous columns: the bytes a lone branch would build
         cols = np.ascontiguousarray(windows[..., off:off + k]).reshape(batch * t_out, in_ch * k)
-        pre = (cols @ br.kernels.data.reshape(out_ch, -1).T).reshape(batch, t_out, out_ch)
+        pre = (cols @ w.data.reshape(out_ch, -1).T).reshape(batch, t_out, out_ch)
         o = out_data[:, lo:lo + out_ch]
-        np.maximum(np.add(pre.transpose(0, 2, 1), br.bias.data[:, None], out=o), 0.0, out=o)
-        saved.append((br, lo, off, cols))
+        np.maximum(np.add(pre.transpose(0, 2, 1), b.data[:, None], out=o), 0.0, out=o)
+        saved.append((w, lo, off, cols))
         lo += out_ch
 
     def bwd(g):
         grads, dseq = [], None
-        for br, lo, off, cols in reversed(saved):   # so dseq sums as (d2 + d1) + d0
-            out_ch, _, k = br.kernels.shape
+        for w, lo, off, cols in reversed(saved):   # so dseq sums as (d2 + d1) + d0
+            out_ch, _, k = w.shape
             gp = np.where(out_data[:, lo:lo + out_ch] > 0, g[:, lo:lo + out_ch], 0.0)
             g2 = np.ascontiguousarray(gp.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
-            grads = [(g2.T @ cols).reshape(br.kernels.shape), gp.sum(axis=(0, 2))] + grads
+            grads = [(g2.T @ cols).reshape(w.shape), gp.sum(axis=(0, 2))] + grads
             if seq.requires_grad:   # false for conv0, whose input is the data
                 # tap-major and contiguous, so the col2im scatter reads whole rows
-                dcols = np.ascontiguousarray((g2 @ br.kernels.data.reshape(out_ch, -1))
+                dcols = np.ascontiguousarray((g2 @ w.data.reshape(out_ch, -1))
                                              .reshape(batch, t_out, in_ch, k).transpose(3, 0, 2, 1))
                 dpad = np.zeros((batch, in_ch, length + K - 1), dtype=seq.dtype)
                 for i in range(k):

@@ -179,6 +179,8 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
     with the same inputs produce the same loss trajectory.
     """
     cfg.validate()
+    if best_checkpoint_path is not None and test_data is None:
+        raise ConfigError("a best checkpoint is chosen by test accuracy and needs test data")
     x, y = _as_arrays(train_data)
     if x.shape[0] == 0:
         raise DataError("training set is empty")
@@ -232,8 +234,7 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
         history.append(row)
         if log is not None:
             log(row)
-        if best_checkpoint_path is not None and test_data is not None \
-                and test_acc >= best_acc:
+        if best_checkpoint_path is not None and test_acc >= best_acc:
             best_acc = test_acc
             _write_checkpoint(best_checkpoint_path, model, cfg.seed, epoch)
 
@@ -310,6 +311,8 @@ def cross_validate(model_cfg: ModelConfig, train_cfg: TrainConfig, data, groups,
                    k: int = 5, jobs: int = 1) -> list[FoldResult]:
     """Grouped k-fold training; fold workers are independent, so results do
     not depend on scheduling order."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be positive, got {jobs}")
     x, y = _as_arrays(data)
     if len(groups) != x.shape[0]:
         raise DataError(f"{x.shape[0]} samples but {len(groups)} group ids")

@@ -123,7 +123,7 @@ def test_crnn_equals_manual_composition():
 
     h = x
     for block in model.conv_blocks:
-        assert len(block.branches) == 1
+        assert len(block.kernels) == 1
         h = conv_reference(block, h)
     h = dense_gru_forward(model.gru_stack, Tensor(h))
     expected = linear_forward(model.readout_W, model.readout_b, last_time_step(h))

@@ -186,6 +186,14 @@ def test_synth_rejects_non_positive_per_class(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_synth_groups_write_failure_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "x.cnds"
+    (tmp_path / "x.cnds.groups").mkdir()   # the sidecar cannot be written
+    assert main(["synth", "--out", str(out), "--per-class", "2", "--length", "64"]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rejects_bad_spec(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "x.cnds"), "--classes", "1"])
     assert code == 1
@@ -370,6 +378,16 @@ def test_train_test_labels_beyond_model_classes_fail_before_training(tmp_path, c
     assert not (tmp_path / "model.cncp").exists()
 
 
+def test_train_best_checkpoint_without_test_fails_before_training(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    best = tmp_path / "best.cncp"
+    assert run_train(tmp_path, data, ["--best-checkpoint", str(best)]) == 1
+    assert "needs test data" in capsys.readouterr().err
+    assert not best.exists()
+    assert not (tmp_path / "model.cncp").exists()
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_train_rejects_zero_repeats_before_reading_data(tmp_path, monkeypatch, capsys):
     data = synth_container(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -506,6 +524,17 @@ def test_prepare_short_test_session_names_stage(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "short.edf" in err and "extract_windows" in err
+
+
+def test_prepare_groups_write_failure_leaves_no_output(tmp_path, capsys):
+    edf_dir, manifest = write_fixture(tmp_path, train_seconds=120)
+    (tmp_path / "set.train.cnds.groups").mkdir()   # the sidecar cannot be written
+    code = main(["prepare", "--edf-dir", str(edf_dir),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "set")])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["edf", "sessions.csv", "set.train.cnds.groups"]
 
 
 def test_prepare_cleans_partial_outputs(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chrononet.errors import ConfigError, DataError, ShapeError
-from chrononet.layers import (ConvParams, DenseGruStack, GruParams,
+from chrononet.layers import (DenseGruStack, GruParams,
                               InceptionConvBlock, connection_count,
                               conv1d_output_length,
                               dense_gru_forward, glorot_uniform,
@@ -38,8 +38,8 @@ def test_init_biases_zero_and_reproducible():
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
     assert np.all(p1.b_z.data == 0) and np.all(p1.b_r.data == 0) and np.all(p1.b_h.data == 0)
-    conv = ConvParams.init(Prng(5), 2, 4, 3, 1)
-    assert np.all(conv.bias.data == 0)
+    conv = InceptionConvBlock.init(Prng(5), 2, 4, (3,), 1)
+    assert np.all(conv.biases[0].data == 0)
 
 
 def test_param_bundle_validation():
@@ -48,9 +48,9 @@ def test_param_bundle_validation():
             **{**{n: t for n, t in GruParams.zeros(3, 4).tensors()},
                "U_h": Tensor(np.zeros((2, 2)))})
     with pytest.raises(ConfigError):
-        ConvParams(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), 1)
+        InceptionConvBlock([Tensor(np.zeros((2, 3)))], [Tensor(np.zeros(2))], 1)
     with pytest.raises(ConfigError):
-        ConvParams(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(2)), 0)
+        InceptionConvBlock([Tensor(np.zeros((2, 3, 4)))], [Tensor(np.zeros(2))], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,9 @@ def conv_reference(block, seq):
     each padded for its own kernel length, concatenated on channels."""
     batch, in_ch, length = seq.shape
     outs = []
-    for br in block.branches:
-        w, b, stride = br.kernels.data, br.bias.data, br.stride
+    stride = block.stride
+    for kernels, bias in zip(block.kernels, block.biases):
+        w, b = kernels.data, bias.data
         out_ch, _, k = w.shape
         pad_left = (k - 1) // 2
         t_out = -(-length // stride)
@@ -218,21 +219,20 @@ def conv_reference(block, seq):
     return np.concatenate(outs, axis=1)
 
 
-def _plain(p):
-    return InceptionConvBlock([p])
+def _plain(kernels, bias, stride=1):
+    return InceptionConvBlock([Tensor(kernels)], [Tensor(bias)], stride)
 
 
 def test_conv_identity_kernel():
-    p = ConvParams(Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)), 1)
     seq = Tensor(np.abs(np.random.default_rng(9).normal(size=(2, 1, 6))))
-    out = inception_conv1d_forward(_plain(p), seq)
+    out = inception_conv1d_forward(_plain(np.ones((1, 1, 1)), np.zeros(1)), seq)
     assert np.allclose(out.data, seq.data)  # positive input passes ReLU untouched
 
 
 def test_conv_hand_case_k2():
     # [1,2,3,4] with kernel [1,1], stride 1, same padding -> [3,5,7,4]
-    p = ConvParams(Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)), 1)
-    out = inception_conv1d_forward(_plain(p), Tensor([[[1.0, 2.0, 3.0, 4.0]]]))
+    out = inception_conv1d_forward(_plain(np.ones((1, 1, 2)), np.zeros(1)),
+                                   Tensor([[[1.0, 2.0, 3.0, 4.0]]]))
     assert np.allclose(out.data, [[[3.0, 5.0, 7.0, 4.0]]])
 
 
@@ -243,10 +243,9 @@ def test_conv_matches_brute_force():
     for kernels in ((8, 2, 3), (2, 4, 8)):
         for stride in (1, 2, 3):
             prng = Prng(11 + stride)
-            block = InceptionConvBlock([ConvParams.init(prng, 3, 2, k, stride, dtype=np.float64)
-                                        for k in kernels])
-            for br in block.branches:
-                br.bias.data[:] = prng.normal(0.0, 0.1, br.bias.shape)
+            block = InceptionConvBlock.init(prng, 3, 2, kernels, stride, dtype=np.float64)
+            for b in block.biases:
+                b.data[:] = prng.normal(0.0, 0.1, b.shape)
             seq = rng.normal(size=(2, 3, 13))
             out = inception_conv1d_forward(block, Tensor(seq))
             assert out.shape == (2, 6, conv1d_output_length(13, stride))
@@ -254,29 +253,25 @@ def test_conv_matches_brute_force():
 
 
 def test_conv_channel_mismatch():
-    p = ConvParams.init(Prng(12), 3, 4, 3, 1)
+    block = InceptionConvBlock.init(Prng(12), 3, 4, (3,), 1)
     with pytest.raises(ShapeError):
-        inception_conv1d_forward(_plain(p), Tensor(np.zeros((1, 2, 8), dtype=np.float32)))
+        inception_conv1d_forward(block, Tensor(np.zeros((1, 2, 8), dtype=np.float32)))
     with pytest.raises(DataError):
-        inception_conv1d_forward(_plain(p), Tensor(np.zeros((1, 3, 0), dtype=np.float32)))
+        inception_conv1d_forward(block, Tensor(np.zeros((1, 3, 0), dtype=np.float32)))
 
 
 def test_inception_concatenates_branches():
-    prng = Prng(13)
-    block = InceptionConvBlock([
-        ConvParams.init(prng, 2, 3, k, 2, dtype=np.float64) for k in (2, 4, 8)
-    ])
+    block = InceptionConvBlock.init(Prng(13), 2, 3, (2, 4, 8), 2, dtype=np.float64)
     seq = Tensor(np.random.default_rng(13).normal(size=(2, 2, 12)))
     out = inception_conv1d_forward(block, seq)
     assert out.shape == (2, 9, 6)
-    for j, br in enumerate(block.branches):
-        alone = inception_conv1d_forward(_plain(br), seq)
+    for j, (w, b) in enumerate(zip(block.kernels, block.biases)):
+        alone = inception_conv1d_forward(InceptionConvBlock([w], [b], block.stride), seq)
         assert np.array_equal(out.data[:, 3 * j:3 * j + 3], alone.data)
 
 
 def test_inception_single_branch_is_plain_conv():
-    p = ConvParams.init(Prng(14), 2, 3, 4, 2, dtype=np.float64)
-    block = InceptionConvBlock([p])
+    block = InceptionConvBlock.init(Prng(14), 2, 3, (4,), 2, dtype=np.float64)
     seq = np.random.default_rng(14).normal(size=(1, 2, 10))
     with Graph() as g:
         out = inception_conv1d_forward(block, Tensor(seq, requires_grad=True))
@@ -285,8 +280,7 @@ def test_inception_single_branch_is_plain_conv():
 
 
 def test_inception_block_is_one_tape_node():
-    prng = Prng(27)
-    block = InceptionConvBlock([ConvParams.init(prng, 2, 3, k, 2) for k in (2, 4, 8)])
+    block = InceptionConvBlock.init(Prng(27), 2, 3, (2, 4, 8), 2)
     with Graph() as g:
         out = inception_conv1d_forward(block, Tensor(np.ones((2, 2, 12), dtype=np.float32),
                                                      requires_grad=True))
@@ -298,8 +292,7 @@ def test_inception_block_keeps_columns_and_output():
     # output, not the padded input or per-branch copies of the output
     batch, ch, length, stride, filters = 8, 22, 256, 2, 32
     kernels = (2, 4, 8)
-    block = InceptionConvBlock([ConvParams.init(Prng(28), ch, filters, k, stride)
-                                for k in kernels])
+    block = InceptionConvBlock.init(Prng(28), ch, filters, kernels, stride)
     seq = Tensor(np.random.default_rng(28).normal(size=(batch, ch, length)).astype(np.float32),
                  requires_grad=True)
     tracemalloc.start()
@@ -316,9 +309,7 @@ def test_inception_block_keeps_columns_and_output():
 
 
 def test_conv_input_gradient_only_when_required():
-    prng = Prng(29)
-    block = InceptionConvBlock([ConvParams.init(prng, 2, 3, k, 2, dtype=np.float64)
-                                for k in (2, 3)])
+    block = InceptionConvBlock.init(Prng(29), 2, 3, (2, 3), 2, dtype=np.float64)
     seq = np.random.default_rng(29).normal(size=(2, 2, 9))
     grads = {}
     for req in (False, True):
@@ -332,34 +323,48 @@ def test_conv_input_gradient_only_when_required():
 
 
 def test_inception_rejects_mismatched_branches():
-    prng = Prng(15)
-    with pytest.raises(ConfigError):
-        InceptionConvBlock([ConvParams.init(prng, 2, 3, 2, 1),
-                            ConvParams.init(prng, 2, 3, 4, 2)])
-    with pytest.raises(ConfigError):
-        InceptionConvBlock([ConvParams.init(prng, 2, 3, 2, 1),
-                            ConvParams.init(prng, 3, 3, 4, 1)])
+    a = InceptionConvBlock.init(Prng(15), 2, 3, (2,), 1)
+    b = InceptionConvBlock.init(Prng(15), 3, 3, (4,), 1)
+    with pytest.raises(ConfigError, match="in_channels"):
+        InceptionConvBlock(a.kernels + b.kernels, a.biases + b.biases, 1)
+    with pytest.raises(ConfigError, match="2 kernels but 1 biases"):
+        InceptionConvBlock(a.kernels * 2, a.biases, 1)
+    with pytest.raises(ConfigError, match="1 kernels but 2 biases"):
+        InceptionConvBlock(a.kernels, a.biases * 2, 1)
+
+
+def test_inception_init_draws_like_per_branch_glorot():
+    block = InceptionConvBlock.init(Prng(30), 3, 4, (2, 4, 8), 2, dtype=np.float64)
+    prng = Prng(30)
+    for w, b, k in zip(block.kernels, block.biases, (2, 4, 8)):
+        expected = glorot_uniform(prng, (4, 3, k), 3 * k, 4 * k, dtype=np.float64)
+        assert np.array_equal(w.data, expected) and w.data.dtype == np.float64
+        assert np.array_equal(b.data, np.zeros(4)) and b.data.dtype == np.float64
+        assert w.requires_grad and b.requires_grad
+    assert (block.stride, block.in_channels, block.out_channels) == (2, 3, 12)
+    assert [n for n, _ in block.tensors()] == [
+        f"branch{j}.{name}" for j in range(3) for name in ("kernels", "bias")]
 
 
 # ---------------------------------------------------------------------------
 # stacks and readout
 
 
-def _stack(prng, widths, in_ch, dense):
-    layers = []
-    for k, w in enumerate(widths):
-        if k == 0:
-            size = in_ch
-        elif dense:
-            size = sum(widths[:k])
-        else:
-            size = widths[k - 1]
-        layers.append(GruParams.init(prng, size, w, dtype=np.float64))
-    return DenseGruStack(layers, dense=dense)
+def test_stack_init_sizes_layers_for_each_wiring():
+    for dense, sizes in ((True, [2, 3, 7, 12]), (False, [2, 3, 4, 5])):
+        stack = DenseGruStack.init(Prng(31), 2, [3, 4, 5, 6], dense, dtype=np.float64)
+        assert stack.dense is dense
+        assert [p.input_size for p in stack.layers] == sizes
+        assert [p.hidden_size for p in stack.layers] == [3, 4, 5, 6]
+        prng = Prng(31)   # drawn layer by layer, in GruParams.init's order
+        for p, n, m in zip(stack.layers, sizes, [3, 4, 5, 6]):
+            ref = GruParams.init(prng, n, m, np.float64)
+            for (_, t), (_, r) in zip(p.tensors(), ref.tensors()):
+                assert np.array_equal(t.data, r.data)
 
 
 def test_dense_stack_output_and_widths():
-    stack = _stack(Prng(16), [3, 4, 5], 2, dense=True)
+    stack = DenseGruStack.init(Prng(16), 2, [3, 4, 5], dense=True, dtype=np.float64)
     assert stack.layers[2].input_size == 7
     seq = Tensor(np.random.default_rng(16).normal(size=(2, 2, 6)))
     out = dense_gru_forward(stack, seq)
@@ -367,7 +372,7 @@ def test_dense_stack_output_and_widths():
 
 
 def test_chain_stack_matches_manual_composition():
-    stack = _stack(Prng(17), [3, 4], 2, dense=False)
+    stack = DenseGruStack.init(Prng(17), 2, [3, 4], dense=False, dtype=np.float64)
     seq = Tensor(np.random.default_rng(17).normal(size=(2, 2, 5)))
     out = dense_gru_forward(stack, seq)
     manual = gru_layer_forward(stack.layers[1], gru_layer_forward(stack.layers[0], seq))
@@ -375,7 +380,7 @@ def test_chain_stack_matches_manual_composition():
 
 
 def test_single_layer_stack_is_gru_layer():
-    stack = _stack(Prng(18), [4], 3, dense=True)
+    stack = DenseGruStack.init(Prng(18), 3, [4], dense=True, dtype=np.float64)
     seq = Tensor(np.random.default_rng(18).normal(size=(1, 3, 4)))
     assert np.allclose(dense_gru_forward(stack, seq).data,
                        gru_layer_forward(stack.layers[0], seq).data)
@@ -392,11 +397,9 @@ def test_stack_rejects_bad_wiring():
 def test_zero_param_stack_outputs_zero_any_wiring():
     for dense in (False, True):
         widths = [3, 3, 6] if dense else [3, 3, 3]
-        layers = []
-        for k, w in enumerate(widths):
-            size = 2 if k == 0 else (sum(widths[:k]) if dense else widths[k - 1])
-            layers.append(GruParams.zeros(size, w))
-        stack = DenseGruStack(layers, dense=dense)
+        stack = DenseGruStack.init(Prng(20), 2, widths, dense, dtype=np.float64)
+        for _, t in stack.tensors():
+            t.data[:] = 0.0
         seq = Tensor(np.random.default_rng(20).normal(size=(2, 2, 4)))
         assert np.all(dense_gru_forward(stack, seq).data == 0.0)
 

@@ -7,8 +7,8 @@ from chrononet.data.edf import recording_from_arrays
 from chrononet.data.montage import (MontageDef, MontagePair, Recording,
                                     apply_montage, default_montage,
                                     parse_montage)
-from chrononet.data.preprocess import (WindowSpec, compute_stats, extract_windows,
-                                       normalize, resample, resample_recording)
+from chrononet.data.preprocess import (compute_stats, extract_windows, normalize,
+                                       resample, resample_recording)
 from chrononet.errors import ConfigError, ContractError, DataError, FormatError
 
 
@@ -101,7 +101,7 @@ def _minutes_recording(seconds, rate=250.0, channels=3):
 
 def test_train_windows_capped_at_eleven():
     rec = _minutes_recording(12 * 60)
-    windows = extract_windows(rec, WindowSpec(), "train")
+    windows = extract_windows(rec, "train")
     assert len(windows) == 11
     assert all(w.shape == (3, 15000) for w in windows)
     assert all(w.dtype == np.float32 for w in windows)
@@ -109,7 +109,7 @@ def test_train_windows_capped_at_eleven():
 
 def test_train_windows_partial_session():
     rec = _minutes_recording(150)  # 2.5 minutes -> 2 full windows
-    windows = extract_windows(rec, WindowSpec(), "train")
+    windows = extract_windows(rec, "train")
     assert len(windows) == 2
     # consecutive, starting at t=0, no overlap
     assert np.allclose(windows[0][0], rec.data[0, :15000])
@@ -118,30 +118,30 @@ def test_train_windows_partial_session():
 
 def test_test_window_exactly_one():
     rec = _minutes_recording(90)
-    windows = extract_windows(rec, WindowSpec(), "test")
+    windows = extract_windows(rec, "test")
     assert len(windows) == 1
     assert windows[0].shape == (3, 15000)
 
 
 def test_exactly_sixty_seconds_suffices():
     rec = _minutes_recording(60)
-    assert len(extract_windows(rec, WindowSpec(), "test")) == 1
-    assert len(extract_windows(rec, WindowSpec(), "train")) == 1
+    assert len(extract_windows(rec, "test")) == 1
+    assert len(extract_windows(rec, "train")) == 1
 
 
 def test_short_test_session_rejected():
     rec = _minutes_recording(59)
     with pytest.raises(DataError, match="test window"):
-        extract_windows(rec, WindowSpec(), "test")
-    assert extract_windows(rec, WindowSpec(), "train") == []
+        extract_windows(rec, "test")
+    assert extract_windows(rec, "train") == []
 
 
 def test_window_rate_and_split_validation():
     rec = _minutes_recording(60, rate=200.0)
     with pytest.raises(DataError, match="200"):
-        extract_windows(rec, WindowSpec(), "train")
+        extract_windows(rec, "train")
     with pytest.raises(ConfigError):
-        extract_windows(_minutes_recording(60), WindowSpec(), "validation")
+        extract_windows(_minutes_recording(60), "validation")
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_self_check_fully_leaked_motif():
     assert not check.passed  # single-cue ceiling intentionally violated
 
 
+def test_generate_rejects_non_positive_counts():
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match="per-class must be positive"):
+            generate_synthetic(SyntheticSpec(), count)
+
+
 def test_many_class_generation_smoke():
     spec = SyntheticSpec(num_classes=6, length=200, channels=3, seed=9)
     ds = generate_synthetic(spec, 3)

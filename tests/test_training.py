@@ -312,3 +312,24 @@ def test_cross_validate_smoke():
     assert sum(f.test_size for f in folds) == 20
     mean, lo, hi = summarize_folds(folds)
     assert lo <= mean <= hi
+
+
+def test_cross_validate_rejects_non_positive_jobs(monkeypatch):
+    x, y = tiny_dataset(20, seed=4)
+    groups = np.array([f"p{i % 5}" for i in range(20)])
+    monkeypatch.setattr("chrononet.training._run_fold", lambda payload: pytest.fail("ran"))
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs must be positive"):
+            cross_validate(small_config(), TrainConfig(epochs=1), (x, y), groups,
+                           k=5, jobs=jobs)
+
+
+def test_train_best_checkpoint_needs_test_data(tmp_path):
+    model = build(small_config(), Prng(0))
+    before = [t.data.copy() for _, t in model.named_parameters()]
+    with pytest.raises(ConfigError, match="needs test data"):
+        train(model, tiny_dataset(), TrainConfig(epochs=1),
+              best_checkpoint_path=tmp_path / "best.cncp")
+    assert not (tmp_path / "best.cncp").exists()
+    for b, (_, t) in zip(before, model.named_parameters()):
+        assert np.array_equal(b, t.data)
