@@ -144,6 +144,14 @@ def _check_labels(num_classes: int, dataset, path) -> None:
                         f"{num_classes} classes")
 
 
+def _print_metrics_row(row) -> None:
+    # the header comes with the first row, so a run that fails before its
+    # first step prints nothing on stdout
+    if row.epoch == 0:
+        print(METRICS_HEADER)
+    print(format_metrics_row(row))
+
+
 def cmd_train(args) -> int:
     _fill_defaults(args, {"repeats": 1, "checkpoint": "model.cncp",
                           "metrics": "metrics.csv"})
@@ -167,14 +175,13 @@ def cmd_train(args) -> int:
             seed, suffix = Prng(base_cfg.seed).derive(rep), f".r{rep}"
         cfg = replace(base_cfg, seed=seed)
         model = build(model_cfg, Prng(seed))
-        print(METRICS_HEADER)
         history = train(
             model, (dataset.samples, dataset.labels), cfg,
             test_data=(test_set.samples, test_set.labels) if test_set else None,
             checkpoint_path=args.checkpoint + suffix,
             best_checkpoint_path=(args.best_checkpoint + suffix
                                   if args.best_checkpoint else None),
-            log=lambda row: print(format_metrics_row(row)),
+            log=_print_metrics_row,
         )
         write_metrics_csv(args.metrics + suffix, history)
         final = history[-1]
@@ -300,11 +307,15 @@ def cmd_prepare(args) -> int:
         container.save_stats(stats_path, mean, std)
         written.append(stats_path)
         for split in ("train", "test"):
+            out_path = f"{args.out}.{split}.cnds"
             if split not in stacks:
+                # a split left by an earlier run was normalised with other stats
+                for stale in (out_path, container.groups_path(out_path)):
+                    if os.path.exists(stale):
+                        os.unlink(stale)
                 print(f"{split} windows: 0")
                 continue
             normalized = preprocess.normalize(stacks.pop(split), mean, std)
-            out_path = f"{args.out}.{split}.cnds"
             container.export_dataset(out_path, container.Dataset(
                 normalized, np.asarray(labels[split]), patients[split]))
             written.append(out_path)

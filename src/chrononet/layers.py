@@ -20,8 +20,10 @@ each step's previous state.
 
 A conv block, plain or inception, owns one kernel and one bias per branch
 and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
-its input once; for backward it keeps each branch's (B*T_out, C*k) window
-columns and the (B, F, T_out) output, whose sign gates the ReLU.
+and windows its input once, along time in channel-last (B, L, C) memory, so
+each window is one contiguous run of K*C values; for backward it keeps each
+branch's (B*T_out, C*k) window columns and the (B, F, T_out) output, whose
+sign gates the ReLU.
 
 Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
 order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
@@ -359,8 +361,11 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
     stride, K = block.stride, max(w.shape[2] for w in block.kernels)
     pad_left = (K - 1) // 2
     t_out = conv1d_output_length(length, stride)
-    padded = np.pad(seq.data, ((0, 0), (0, 0), (pad_left, K - 1 - pad_left)))
-    windows = sliding_window_view(padded, K, axis=2)[:, :, ::stride].transpose(0, 2, 1, 3)
+    # channel-last, so each (B, T_out, C, K) window is one run of K*C values;
+    # free to transpose for a conv block's output, which is (B, T, F) in memory
+    padded = np.zeros((batch, length + K - 1, in_ch), seq.dtype)
+    padded[:, pad_left:pad_left + length] = seq.data.transpose(0, 2, 1)
+    windows = sliding_window_view(padded, K, axis=1)[:, ::stride]
     out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
     saved, lo = [], 0   # per branch: kernels, first output channel, window offset, columns
     for w, b in zip(block.kernels, block.biases):
@@ -382,16 +387,15 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
             g2 = np.ascontiguousarray(gp.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
             grads = [(g2.T @ cols).reshape(w.shape), gp.sum(axis=(0, 2))] + grads
             if seq.requires_grad:   # false for conv0, whose input is the data
-                # tap-major and contiguous, so the col2im scatter reads whole rows
-                dcols = np.ascontiguousarray((g2 @ w.data.reshape(out_ch, -1))
-                                             .reshape(batch, t_out, in_ch, k).transpose(3, 0, 2, 1))
-                dpad = np.zeros((batch, in_ch, length + K - 1), dtype=seq.dtype)
+                dcols = (g2 @ w.data.reshape(out_ch, -1)).reshape(batch, t_out, in_ch, k)
+                dpad = np.zeros((batch, length + K - 1, in_ch), dtype=seq.dtype)
                 for i in range(k):
                     # for fixed kernel offset i the written positions never collide
-                    dpad[:, :, off + i:off + i + stride * t_out:stride] += dcols[i]
-                d = dpad[:, :, pad_left:pad_left + length]
+                    dpad[:, off + i:off + i + stride * t_out:stride] += dcols[..., i]
+                d = dpad[:, pad_left:pad_left + length]
                 dseq = d if dseq is None else dseq + d
-        return (None if dseq is None else np.ascontiguousarray(dseq), *grads)
+        # (B, C, L) C-contiguous: a transposed view would reorder the bias sum below
+        return (None if dseq is None else np.ascontiguousarray(dseq.transpose(0, 2, 1)), *grads)
 
     return make_op("conv1d", (seq, *(t for _, t in block.tensors())), out_data, bwd)
 

@@ -388,6 +388,15 @@ def test_train_best_checkpoint_without_test_fails_before_training(tmp_path, caps
     assert not (tmp_path / "metrics.csv").exists()
 
 
+def test_train_failing_before_first_step_prints_nothing(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    capsys.readouterr()
+    assert run_train(tmp_path, data, ["--best-checkpoint", str(tmp_path / "b.cncp")]) == 1
+    captured = capsys.readouterr()
+    assert "needs test data" in captured.err
+    assert captured.out == ""
+
+
 def test_train_rejects_zero_repeats_before_reading_data(tmp_path, monkeypatch, capsys):
     data = synth_container(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -472,6 +481,22 @@ def test_prepare_window_counts(tmp_path, capsys):
     # training windows are z-scored by their own stats
     assert np.allclose(train.samples.mean(axis=(0, 2)), 0.0, atol=1e-4)
     assert np.allclose(train.samples.std(axis=(0, 2)), 1.0, atol=1e-3)
+
+
+def test_prepare_without_test_windows_removes_stale_test_split(tmp_path, capsys):
+    edf_dir, manifest = write_fixture(tmp_path, train_seconds=120)
+    out_base = tmp_path / "set"
+    args = ["prepare", "--edf-dir", str(edf_dir), "--manifest", str(manifest),
+            "--out", str(out_base)]
+    assert main(args) == 0
+    assert (tmp_path / "set.test.cnds").exists()
+    assert (tmp_path / "set.test.cnds.groups").exists()
+    manifest.write_text("path,label,patient_id,split\ntrain.edf,normal,pa,train\n")
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "test windows: 0" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["edf", "sessions.csv", "set.stats.cnds", "set.train.cnds", "set.train.cnds.groups"]
 
 
 def test_prepare_patient_overlap_refused_before_work(tmp_path, capsys):

@@ -308,6 +308,51 @@ def test_inception_block_keeps_columns_and_output():
     assert kept < cols + out.data.nbytes + 64 * 1024
 
 
+def test_conv_block_ignores_input_memory_layout():
+    # the same values as a C-contiguous (B, C, L) array and as a transposed
+    # view of (B, L, C) memory give the same bits everywhere, and the input
+    # gradient comes back C-contiguous: a transposed view would reorder the
+    # bias sum of the block below
+    rng = np.random.default_rng(30)
+    for dtype in (np.float64, np.float32):
+        for stride in (1, 2):
+            block = InceptionConvBlock.init(Prng(30 + stride), 5, 3, (2, 4, 8), stride, dtype)
+            values = rng.normal(size=(3, 5, 23)).astype(dtype)
+            layouts = (values, np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1))
+            gout = rng.normal(size=(3, 9, conv1d_output_length(23, stride))).astype(dtype)
+            runs = []
+            for x in layouts:
+                with Graph() as g:
+                    out = inception_conv1d_forward(block, Tensor(x, requires_grad=True))
+                grads = g.nodes[0].backward_fn(gout)
+                assert grads[0].flags.c_contiguous
+                runs.append([out.data, *grads])
+            for a, b in zip(*runs):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def test_conv_backward_holds_no_tap_major_copy():
+    # the col2im scatter reads the GEMM result in place: the backward pass
+    # peaks below two of the largest branch's columns
+    batch, ch, length, stride, filters = 8, 96, 128, 2, 32
+    kernels = (2, 4, 8)
+    block = InceptionConvBlock.init(Prng(31), ch, filters, kernels, stride)
+    rng = np.random.default_rng(31)
+    seq = Tensor(rng.normal(size=(batch, ch, length)).astype(np.float32), requires_grad=True)
+    with Graph() as g:
+        out = inception_conv1d_forward(block, seq)
+    gout = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        g.nodes[0].backward_fn(gout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cols = 4 * batch * conv1d_output_length(length, stride) * ch * max(kernels)
+    assert peak < 2 * cols + 256 * 1024
+
+
 def test_conv_input_gradient_only_when_required():
     block = InceptionConvBlock.init(Prng(29), 2, 3, (2, 3), 2, dtype=np.float64)
     seq = np.random.default_rng(29).normal(size=(2, 2, 9))
