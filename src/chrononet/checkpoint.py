@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     "CNCP"                       4-byte magic
-    u32 version                  currently 2
+    u32 version                  currently 3
     u32 config length, UTF-8     key=value lines describing the model + run
     u32 parameter entries
     per entry:
@@ -25,11 +25,11 @@ import numpy as np
 
 from .architectures import ConvBlockSpec, Model, ModelConfig, build
 from .data.container import atomic_write
-from .errors import ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .tensor import Prng
 
 MAGIC = b"CNCP"
-VERSION = 2
+VERSION = 3
 
 
 def _config_text(config: ModelConfig, seed: int, epoch: int) -> str:
@@ -83,10 +83,10 @@ def _parse_config_text(text: str, offset: int) -> tuple[ModelConfig, int, int]:
             gru_widths=widths,
             num_classes=int(fields["num_classes"]),
             precision=fields["precision"],
-        )
+        ).validate()
         seed = int(fields["seed"])
         epoch = int(fields["epoch"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ConfigError) as exc:
         raise FormatError(f"config text: {exc}", offset=offset) from None
     return config, seed, epoch
 
@@ -108,9 +108,6 @@ class Checkpoint:
                     "can be checkpointed losslessly")
             params.append((name, tensor.data.copy()))
         return cls(model.config, params, seed, epoch)
-
-    def scalar_count(self) -> int:
-        return sum(arr.size for _, arr in self.params)
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
@@ -156,7 +153,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported version {version}", offset=4)
     text_len = r.unpack("<I", "config length")
     config_offset = r.pos
-    text = r.take(text_len, "config text").decode("utf-8", errors="replace")
+    try:
+        text = r.take(text_len, "config text").decode()
+    except UnicodeDecodeError:
+        raise FormatError("config text is not UTF-8", offset=config_offset) from None
     config, seed, epoch = _parse_config_text(text, config_offset)
 
     n_params = r.unpack("<I", "parameter count")

@@ -1,5 +1,5 @@
 from .container import (Dataset, ManifestEntry, export_dataset, import_dataset,
-                        load_stats, read_manifest, save_stats)
+                        read_manifest, save_stats)
 from .edf import EdfRecording, EdfSignal, read_edf, recording_from_arrays, write_edf
 from .montage import (MontageDef, MontagePair, Recording, apply_montage,
                       default_montage, load_montage, parse_montage)
@@ -8,7 +8,7 @@ from .preprocess import (compute_stats, extract_windows, normalize, resample,
 from .synthetic import SelfCheck, SyntheticSpec, generate_synthetic, self_check
 
 __all__ = [
-    "Dataset", "ManifestEntry", "export_dataset", "import_dataset", "load_stats",
+    "Dataset", "ManifestEntry", "export_dataset", "import_dataset",
     "read_manifest", "save_stats", "EdfRecording", "EdfSignal", "read_edf",
     "recording_from_arrays", "write_edf", "MontageDef", "MontagePair", "Recording",
     "apply_montage", "default_montage", "load_montage", "parse_montage",

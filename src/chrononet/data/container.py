@@ -11,7 +11,7 @@ u32 channels, and per-channel float64 mean then standard deviation.
 
 Group ids (patient provenance for fold splitting) do not fit the fixed
 record layout, so they ride in a plain-text sidecar `<path>.groups`, one id
-per sample line.
+per sample line; a dataset written without ids removes an earlier sidecar.
 """
 
 import csv
@@ -83,13 +83,16 @@ def export_dataset(path, dataset: Dataset) -> None:
     records["x"] = dataset.samples
     header = MAGIC + struct.pack("<IQII", VERSION, n, channels, length)
     atomic_write(path, header, records)
-    if dataset.groups is not None:
-        text = "".join(f"{g}\n" for g in dataset.groups)
-        try:
-            atomic_write(groups_path(path), text.encode())
-        except BaseException:
-            os.unlink(path)   # a dataset without its sidecar is not written
-            raise
+    if dataset.groups is None:
+        if os.path.exists(groups_path(path)):
+            os.unlink(groups_path(path))   # an earlier dataset's ids
+        return
+    text = "".join(f"{g}\n" for g in dataset.groups)
+    try:
+        atomic_write(groups_path(path), text.encode())
+    except BaseException:
+        os.unlink(path)   # a dataset without its sidecar is not written
+        raise
 
 
 def import_dataset(path) -> Dataset:
@@ -129,27 +132,6 @@ def save_stats(path, mean: np.ndarray, std: np.ndarray) -> None:
         raise DataError(f"stats must be matching vectors, got {mean.shape} and {std.shape}")
     header = MAGIC + struct.pack("<III", VERSION, STATS_FLAG, mean.shape[0])
     atomic_write(path, header, mean.tobytes(), std.tobytes())
-
-
-def load_stats(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 4 or buf[:4] != MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(buf) < 16:
-        raise FormatError("truncated stats header", offset=len(buf))
-    version, flag, channels = struct.unpack_from("<III", buf, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    if flag != STATS_FLAG:
-        raise FormatError(f"not a stats sidecar (type flag {flag})", offset=8)
-    expected = 16 + 16 * channels
-    if len(buf) != expected:
-        raise FormatError(f"expected {expected} bytes for {channels} channels, "
-                          f"file has {len(buf)}", offset=min(len(buf), expected))
-    mean = np.frombuffer(buf, dtype="<f8", count=channels, offset=16).copy()
-    std = np.frombuffer(buf, dtype="<f8", count=channels, offset=16 + 8 * channels).copy()
-    return mean, std
 
 
 # ---------------------------------------------------------------------------

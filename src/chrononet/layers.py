@@ -9,12 +9,16 @@ Sequence tensors are laid out (batch, channels, time).  Weight matrices are
     h~ = tanh(W_h x + U_h (r * h_prev) + b_h)
     h  = (1 - z) * h_prev + z * h~
 
+A layer stores its parameters in the layout of the gate slab below: ``W``
+(3m, n) stacks W_z, W_r, W_h along the first axis, and ``U`` (3m, m) and
+``b`` (3m,) stack theirs in the same z | r | h~ order.
+
 ``gru_step`` composes these from taped primitives; ``gru_layer_forward`` runs
 the whole sequence as one fused tape node with a hand-written
 backpropagation-through-time rule (checked against finite differences and
 against the step-composed path in the tests).  For its backward pass the
 node keeps the (T, B, n) input copy and two state arrays: the gate slab
-``A`` (T, B, 3m), laid out z | r | h~ like the stacked input weights, and
+``A`` (T, B, 3m), laid out z | r | h~ like the parameters, and
 the hidden buffer ``H`` (T+1, B, m) with ``H[0] = 0``, so ``H[:-1]`` holds
 each step's previous state.
 
@@ -62,74 +66,51 @@ def glorot_uniform(prng: Prng, shape, fan_in: int, fan_out: int, dtype=np.float3
 # parameter bundles
 
 
-_GRU_FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
-
-
 @dataclass
 class GruParams:
-    """All nine learnable arrays of one GRU layer."""
+    """One GRU layer's learnable arrays, the gates stacked z | r | h~ along
+    the first axis as in the gate slab: W (3m, n), U (3m, m) and b (3m,)."""
 
-    W_z: Tensor
-    W_r: Tensor
-    W_h: Tensor
-    U_z: Tensor
-    U_r: Tensor
-    U_h: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     def __post_init__(self):
-        m, n = self.W_z.shape
-        for name in ("W_r", "W_h"):
-            if getattr(self, name).shape != (m, n):
-                raise ConfigError(f"gru input matrices disagree: W_z {(m, n)}, "
-                                  f"{name} {getattr(self, name).shape}")
-        for name in ("U_z", "U_r", "U_h"):
-            if getattr(self, name).shape != (m, m):
-                raise ConfigError(f"gru recurrent matrix {name} must be {(m, m)}, "
-                                  f"got {getattr(self, name).shape}")
-        for name in ("b_z", "b_r", "b_h"):
-            if getattr(self, name).shape != (m,):
-                raise ConfigError(f"gru bias {name} must have length {m}, "
-                                  f"got {getattr(self, name).shape}")
+        if self.W.data.ndim != 2 or self.W.shape[0] % 3:
+            raise ConfigError(f"gru input matrix must be (3m, n), got {self.W.shape}")
+        m = self.hidden_size
+        if self.U.shape != (3 * m, m):
+            raise ConfigError(f"gru recurrent matrix must be {(3 * m, m)}, got {self.U.shape}")
+        if self.b.shape != (3 * m,):
+            raise ConfigError(f"gru bias must have length {3 * m}, got {self.b.shape}")
 
     @property
     def hidden_size(self) -> int:
-        return self.W_z.shape[0]
+        return self.W.shape[0] // 3
 
     @property
     def input_size(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[1]
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name in _GRU_FIELDS]
+        return [("W", self.W), ("U", self.U), ("b", self.b)]
 
     @classmethod
     def init(cls, prng: Prng, input_size: int, hidden_size: int, dtype=np.float32) -> "GruParams":
-        # Draw order is part of the determinism contract: W_z, W_r, W_h, then U's.
-        def w():
-            return Tensor(glorot_uniform(prng, (hidden_size, input_size),
-                                         input_size, hidden_size, dtype), requires_grad=True)
-
-        def u():
-            return Tensor(glorot_uniform(prng, (hidden_size, hidden_size),
-                                         hidden_size, hidden_size, dtype), requires_grad=True)
-
-        def b():
-            return Tensor(np.zeros(hidden_size, dtype=dtype), requires_grad=True)
-
-        return cls(w(), w(), w(), u(), u(), u(), b(), b(), b())
+        # Draw order is part of the determinism contract: W, then U.  One
+        # (3m, k) draw gives the values of three per-gate (m, k) draws.
+        n, m = input_size, hidden_size
+        return cls(Tensor(glorot_uniform(prng, (3 * m, n), n, m, dtype), requires_grad=True),
+                   Tensor(glorot_uniform(prng, (3 * m, m), m, m, dtype), requires_grad=True),
+                   Tensor(np.zeros(3 * m, dtype=dtype), requires_grad=True))
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int, dtype=np.float64) -> "GruParams":
         def z(shape):
             return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
-        return cls(z((hidden_size, input_size)), z((hidden_size, input_size)),
-                   z((hidden_size, input_size)), z((hidden_size, hidden_size)),
-                   z((hidden_size, hidden_size)), z((hidden_size, hidden_size)),
-                   z(hidden_size), z(hidden_size), z(hidden_size))
+        m = hidden_size
+        return cls(z((3 * m, input_size)), z((3 * m, m)), z(3 * m))
 
 
 @dataclass
@@ -247,15 +228,19 @@ def connection_count(num_layers: int, dense: bool) -> int:
 # recurrent steps (tape-composed)
 
 
-def _affine_step(x: Tensor, h_prev: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    return add(add(matmul(x, W, transpose_b=True), matmul(h_prev, U, transpose_b=True)), b)
+def _gate_affine(p: GruParams, gate: int, x: Tensor, h: Tensor) -> Tensor:
+    """W_g x + U_g h + b_g for gate 0 (z), 1 (r) or 2 (h~), each array's
+    rows of that gate sliced on the tape."""
+    lo, hi = gate * p.hidden_size, (gate + 1) * p.hidden_size
+    W, U, b = (slice_axis(t, 0, lo, hi) for t in (p.W, p.U, p.b))
+    return add(add(matmul(x, W, transpose_b=True), matmul(h, U, transpose_b=True)), b)
 
 
 def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """One GRU update; returns (h, z, r, h_candidate) so gates are testable."""
-    z = sigmoid(_affine_step(x, h_prev, p.W_z, p.U_z, p.b_z))
-    r = sigmoid(_affine_step(x, h_prev, p.W_r, p.U_r, p.b_r))
-    h_cand = tanh(_affine_step(x, mul(r, h_prev), p.W_h, p.U_h, p.b_h))
+    z = sigmoid(_gate_affine(p, 0, x, h_prev))
+    r = sigmoid(_gate_affine(p, 1, x, h_prev))
+    h_cand = tanh(_gate_affine(p, 2, x, mul(r, h_prev)))
     one = Tensor(np.ones_like(z.data))
     h = add(mul(sub(one, z), h_prev), mul(z, h_cand))
     return h, z, r, h_cand
@@ -283,16 +268,14 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     m = p.hidden_size
     dtype = seq.data.dtype
 
-    W_all = np.concatenate([p.W_z.data, p.W_r.data, p.W_h.data], axis=0)   # (3m, n)
-    U_zr = np.concatenate([p.U_z.data, p.U_r.data], axis=0)                # (2m, m)
-    U_h = p.U_h.data
-    b_zr = np.concatenate([p.b_z.data, p.b_r.data])
-    b_h = p.b_h.data
+    W = p.W.data                                                           # (3m, n)
+    U_zr, U_h = p.U.data[:2 * m], p.U.data[2 * m:]   # contiguous row slices, no copy
+    b_zr, b_h = p.b.data[:2 * m], p.b.data[2 * m:]
 
     x_tbc = np.ascontiguousarray(seq.data.transpose(2, 0, 1))              # (T, B, n)
     flat = steps * batch
     x2 = x_tbc.reshape(flat, in_ch)
-    A = (x2 @ W_all.T).reshape(steps, batch, 3 * m)   # pre-activations, then gates
+    A = (x2 @ W.T).reshape(steps, batch, 3 * m)   # pre-activations, then gates
     H = np.zeros((steps + 1, batch, m), dtype=dtype)
     for t in range(steps):
         h, a = H[t], A[t]
@@ -324,17 +307,15 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
         dA2 = dA.reshape(flat, 3 * m)
         hp2 = H[:-1].reshape(flat, m)
         rh2 = (A[:, :, m:2 * m] * H[:-1]).reshape(flat, m)
-        dX = dA2 @ W_all                                                   # (T*B, n)
+        dX = dA2 @ W                                                       # (T*B, n)
         dseq = np.ascontiguousarray(dX.reshape(steps, batch, in_ch).transpose(1, 2, 0))
         # One GEMM per gate: a fused (3m, n) product sums in another order.
         dz2, dr2, dh2 = dA2[:, :m], dA2[:, m:2 * m], dA2[:, 2 * m:]
-        db = dA2.sum(axis=0)
-        return (dseq, dz2.T @ x2, dr2.T @ x2, dh2.T @ x2,
-                dz2.T @ hp2, dr2.T @ hp2, dh2.T @ rh2,
-                db[:m], db[m:2 * m], db[2 * m:])
+        dW = np.concatenate([dz2.T @ x2, dr2.T @ x2, dh2.T @ x2])
+        dU = np.concatenate([dz2.T @ hp2, dr2.T @ hp2, dh2.T @ rh2])
+        return dseq, dW, dU, dA2.sum(axis=0)
 
-    inputs = (seq, p.W_z, p.W_r, p.W_h, p.U_z, p.U_r, p.U_h, p.b_z, p.b_r, p.b_h)
-    return make_op("gru_layer", inputs, out_data, bwd)
+    return make_op("gru_layer", (seq, p.W, p.U, p.b), out_data, bwd)
 
 
 def conv1d_output_length(length: int, stride: int) -> int:

@@ -94,12 +94,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return make_op("softmax_xent", (logits,), out, bwd)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 

@@ -187,7 +187,7 @@ def test_named_parameters_stable_names():
     names = [n for n, _ in model.named_parameters()]
     assert "conv0.branch0.kernels" in names
     assert "conv2.branch2.bias" in names
-    assert "gru0.W_z" in names and "gru3.U_h" in names
+    assert [n for n in names if n.startswith("gru3.")] == ["gru3.W", "gru3.U", "gru3.b"]
     assert names[-2:] == ["readout.W", "readout.b"]
     assert len(names) == len(set(names))
 

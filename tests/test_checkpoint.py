@@ -26,7 +26,7 @@ def test_round_trip_bit_exact(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.seed == 11 and loaded.epoch == 7
     assert loaded.config == model.config
-    assert loaded.scalar_count() == parameter_count(model)
+    assert sum(arr.size for _, arr in loaded.params) == parameter_count(model)
     restored = model_from_checkpoint(loaded)
     for (n1, t1), (n2, t2) in zip(model.named_parameters(),
                                   restored.named_parameters()):
@@ -70,16 +70,18 @@ def test_bad_version_reports_offset(tmp_path):
 
 
 def test_version_1_rejected_at_offset_4(tmp_path):
+    # version 1 carried an Adam trailer, version 2 per-gate GRU arrays
     model = build(small_config(), Prng(5))
-    path = tmp_path / "v1.cncp"
+    path = tmp_path / "old.cncp"
     save_checkpoint(path, Checkpoint.from_model(model))
     blob = bytearray(path.read_bytes())
-    assert struct.unpack_from("<I", blob, 4)[0] == 2
-    struct.pack_into("<I", blob, 4, 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="unsupported version 1") as err:
-        load_checkpoint(path)
-    assert err.value.offset == 4
+    assert struct.unpack_from("<I", blob, 4)[0] == 3
+    for version in (1, 2):
+        struct.pack_into("<I", blob, 4, version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"unsupported version {version}") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
 
 
 def test_truncation_reports_offset(tmp_path):
@@ -120,6 +122,19 @@ def test_unknown_config_key_rejected(tmp_path):
         load_checkpoint(path)
     assert "sead" in str(err.value) or "seed" in str(err.value)
     assert err.value.offset == 12
+
+
+def test_corrupt_config_section_reported_at_its_offset(tmp_path):
+    model = build(small_config(), Prng(9))
+    path = tmp_path / "c.cncp"
+    save_checkpoint(path, Checkpoint.from_model(model))
+    blob = path.read_bytes()
+    for old, new, what in ((b"architecture=c", b"architecture=\xff", "not UTF-8"),
+                           (b"num_classes=3", b"num_classes=1", "num_classes")):
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(FormatError, match=what) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
 
 
 def test_corrupt_name_byte_reports_offset(tmp_path):

@@ -351,6 +351,17 @@ def test_eval_rejects_labels_beyond_checkpoint_classes(tmp_path, capsys):
     assert "data error" in err and "label 5" in err
 
 
+def test_eval_corrupt_checkpoint_config_is_a_format_error(tmp_path, capsys):
+    data = synth_container(tmp_path, per_class=2)
+    path = tmp_path / "m.cncp"
+    model = build(default_config("crnn", input_channels=2), Prng(0))
+    ckpt.save_checkpoint(path, ckpt.Checkpoint.from_model(model))
+    path.write_bytes(path.read_bytes().replace(b"num_classes=2", b"num_classes=1"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    assert "byte offset 12" in capsys.readouterr().err
+
+
 def test_train_test_channel_mismatch_fails_before_training(tmp_path, capsys):
     data = synth_container(tmp_path)
     wide = tmp_path / "wide.cnds"
@@ -476,8 +487,11 @@ def test_prepare_window_counts(tmp_path, capsys):
     assert np.array_equal(test.labels, np.ones(1))
     assert set(train.groups) == {"pa"} and set(test.groups) == {"pb"}
 
-    mean, std = container.load_stats(f"{out_base}.stats.cnds")
-    assert mean.shape == (22,) and std.shape == (22,)
+    stats = (tmp_path / "set.stats.cnds").read_bytes()
+    assert len(stats) == 16 + 2 * 22 * 8
+    mean = np.frombuffer(stats, "<f8", 22, offset=16)
+    std = np.frombuffer(stats, "<f8", 22, offset=16 + 22 * 8)
+    assert np.all(np.isfinite(mean)) and np.all(std > 0)
     # training windows are z-scored by their own stats
     assert np.allclose(train.samples.mean(axis=(0, 2)), 0.0, atol=1e-4)
     assert np.allclose(train.samples.std(axis=(0, 2)), 1.0, atol=1e-3)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from chrononet.data.container import (Dataset, atomic_write, export_dataset, groups_path,
-                                      import_dataset, load_stats,
-                                      read_manifest, save_stats)
+                                      import_dataset, read_manifest, save_stats)
 from chrononet.errors import DataError, FormatError
 
 
@@ -57,6 +56,14 @@ def test_round_trip_without_groups(tmp_path):
     assert not (tmp_path / "ng.cnds.groups").exists()
     loaded = import_dataset(path)
     assert loaded.groups is None
+
+
+def test_export_without_groups_removes_stale_sidecar(tmp_path):
+    path = tmp_path / "d.cnds"
+    export_dataset(path, sample_dataset(groups=True))
+    export_dataset(path, sample_dataset(groups=False, seed=1))
+    assert not os.path.exists(groups_path(path))
+    assert import_dataset(path).groups is None
 
 
 def test_dataset_validation():
@@ -138,17 +145,12 @@ def test_stats_round_trip_bit_exact(tmp_path):
     std = np.array([1.0, 0.333333333333333, 42.0])
     path = tmp_path / "s.stats.cnds"
     save_stats(path, mean, std)
-    m2, s2 = load_stats(path)
-    assert m2.tobytes() == mean.astype("<f8").tobytes()
-    assert s2.tobytes() == std.astype("<f8").tobytes()
+    expected = b"CNDS" + struct.pack("<III", 1, 2, 3) + struct.pack("<3d", *mean) \
+        + struct.pack("<3d", *std)
+    assert path.read_bytes() == expected
 
 
 def test_stats_flag_distinguishes_files(tmp_path):
-    ds = sample_dataset(groups=False)
-    dpath = tmp_path / "d.cnds"
-    export_dataset(dpath, ds)
-    with pytest.raises(FormatError):
-        load_stats(dpath)
     spath = tmp_path / "s.cnds"
     save_stats(spath, np.zeros(2), np.ones(2))
     with pytest.raises(FormatError):
@@ -178,12 +180,6 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
 def test_stats_validation(tmp_path):
     with pytest.raises(DataError):
         save_stats(tmp_path / "bad.cnds", np.zeros(2), np.ones(3))
-    path = tmp_path / "trunc.cnds"
-    save_stats(path, np.zeros(4), np.ones(4))
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(FormatError):
-        load_stats(path)
 
 
 # ---------------------------------------------------------------------------

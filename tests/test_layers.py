@@ -37,16 +37,26 @@ def test_init_biases_zero_and_reproducible():
     for (n1, t1), (n2, t2) in zip(p1.tensors(), p2.tensors()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
-    assert np.all(p1.b_z.data == 0) and np.all(p1.b_r.data == 0) and np.all(p1.b_h.data == 0)
+    assert np.all(p1.b.data == 0)
     conv = InceptionConvBlock.init(Prng(5), 2, 4, (3,), 1)
     assert np.all(conv.biases[0].data == 0)
 
 
+def test_gru_init_draws_like_per_gate_glorot():
+    p = GruParams.init(Prng(9), 3, 4)
+    prng = Prng(9)
+    W = [glorot_uniform(prng, (4, 3), 3, 4, np.float32) for _ in range(3)]
+    U = [glorot_uniform(prng, (4, 4), 4, 4, np.float32) for _ in range(3)]
+    assert p.W.data.tobytes() == np.concatenate(W).tobytes()
+    assert p.U.data.tobytes() == np.concatenate(U).tobytes()
+    assert p.b.data.shape == (12,) and np.all(p.b.data == 0)
+
+
 def test_param_bundle_validation():
-    with pytest.raises(ConfigError):
-        GruParams.zeros(3, 4).__class__(
-            **{**{n: t for n, t in GruParams.zeros(3, 4).tensors()},
-               "U_h": Tensor(np.zeros((2, 2)))})
+    good = dict(GruParams.zeros(3, 4).tensors())
+    for name, shape in (("W", (11, 3)), ("U", (12, 3)), ("b", (4,))):
+        with pytest.raises(ConfigError):
+            GruParams(**{**good, name: Tensor(np.zeros(shape))})
     with pytest.raises(ConfigError):
         InceptionConvBlock([Tensor(np.zeros((2, 3)))], [Tensor(np.zeros(2))], 1)
     with pytest.raises(ConfigError):
@@ -103,7 +113,7 @@ def test_gru_step_gate_ranges_and_interpolation():
 
 def test_gru_step_huge_negative_update_bias_keeps_state():
     p = GruParams.init(Prng(3), 2, 3, dtype=np.float64)
-    p.b_z.data[:] = -1e3  # z -> 0 so h_t -> h_prev
+    p.b.data[:p.hidden_size] = -1e3  # z rows: z -> 0 so h_t -> h_prev
     x = Tensor(np.random.default_rng(3).normal(size=(2, 2)))
     h_prev = Tensor(np.random.default_rng(4).normal(size=(2, 3)))
     h, z, _, _ = gru_step(p, x, h_prev)
