@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
         model = build(model_cfg, Prng(seed))
         history = train(
             model, (dataset.samples, dataset.labels), cfg,
-            test_data=(test_set.samples, test_set.labels) if test_set else None,
+            test_data=(test_set.samples, test_set.labels) if test_set is not None else None,
             checkpoint_path=args.checkpoint + suffix,
             best_checkpoint_path=(args.best_checkpoint + suffix
                                   if args.best_checkpoint else None),

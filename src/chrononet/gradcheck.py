@@ -100,6 +100,16 @@ def _block_inception(prng: Prng):
     return loss_fn, named
 
 
+def _block_inception_uneven(prng: Prng):
+    # stride 3 splits the length-5 kernel into a full and a partial chunk of
+    # taps, and puts the length-2 kernel's windows at an odd phase
+    block = L.InceptionConvBlock.init(prng, 2, 2, (5, 2), 3, dtype=np.float64)
+    seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 11)), requires_grad=True)
+    _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
+    named = block.tensors() + [("seq", seq)]
+    return loss_fn, named
+
+
 def _block_gru_layer(prng: Prng):
     p = L.GruParams.init(prng, 3, 4, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 6)), requires_grad=True)
@@ -140,6 +150,7 @@ BLOCKS = [
     ("gru_layer", _block_gru_layer),
     ("dense_gru_stack_L3", _block_dense_stack),
     ("chrononet_end_to_end", _block_end_to_end),
+    ("inception_k5_2_s3", _block_inception_uneven),   # last: the draws above stay as they were
 ]
 
 

@@ -24,9 +24,10 @@ each step's previous state.
 
 A conv block, plain or inception, owns one kernel and one bias per branch
 and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
-and windows its input once, along time in channel-last (B, L, C) memory, so
-each window is one contiguous run of K*C values; for backward it keeps each
-branch's (B*T_out, C*k) window columns and the (B, F, T_out) output, whose
+its input once, along time in channel-last memory, and runs each branch as a
+few GEMMs on overlapping row views of the padded rows, building no window
+columns (Cho & Brand 2017, MEC).  For backward it keeps the padded rows, the
+kernels in (tap, channel) column order and the (B, F, T_out) output, whose
 sign gates the ReLU.
 
 Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
@@ -36,7 +37,6 @@ order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
@@ -331,6 +331,15 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
     the right, so the output length is ceil(T / stride) for every k.  The
     input is padded once, for the longest kernel K, and a branch of length k
     reads its windows at offset (K-1)//2 - (k-1)//2.
+
+    No window columns are built.  Every batch element's padded rows sit back
+    to back in one channel-last buffer, each rounded up to a whole number of
+    strides, followed by spare zero rows.  Viewed as rows of stride*C values
+    from the branch's phase ``off % stride``, taps [u*s, u*s + s) of every
+    window form one row, and window t of element b starts in row
+    b*rows_per + off//s + t.  So a branch is ceil(k/s) GEMMs on contiguous
+    row blocks, summed; the rows that straddle two elements are computed and
+    dropped.
     """
     if seq.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, channels, time), got {seq.shape}")
@@ -339,44 +348,80 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
         raise DataError("inception_conv1d_forward: empty sequence (time extent 0)")
     if in_ch != block.in_channels:
         raise ShapeError(f"conv expects {block.in_channels} input channels, got {in_ch}")
-    stride, K = block.stride, max(w.shape[2] for w in block.kernels)
+    s, K = block.stride, max(w.shape[2] for w in block.kernels)
     pad_left = (K - 1) // 2
-    t_out = conv1d_output_length(length, stride)
-    # channel-last, so each (B, T_out, C, K) window is one run of K*C values;
-    # free to transpose for a conv block's output, which is (B, T, F) in memory
-    padded = np.zeros((batch, length + K - 1, in_ch), seq.dtype)
-    padded[:, pad_left:pad_left + length] = seq.data.transpose(0, 2, 1)
-    windows = sliding_window_view(padded, K, axis=1)[:, ::stride]
-    out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
-    saved, lo = [], 0   # per branch: kernels, first output channel, window offset, columns
-    for w, b in zip(block.kernels, block.biases):
+    t_out = conv1d_output_length(length, s)
+    rows_per = conv1d_output_length(length + K - 1, s)   # rows of s taps per element
+    n = batch * rows_per                                  # rows each GEMM computes
+    # per branch: kernels, first output channel, tap offset, and the kernel
+    # as (F, k*C) in (tap, channel) columns
+    branches, lo, spare = [], 0, 0
+    for w in block.kernels:
         out_ch, _, k = w.shape
         off = pad_left - (k - 1) // 2
-        # each branch's own contiguous columns: the bytes a lone branch would build
-        cols = np.ascontiguousarray(windows[..., off:off + k]).reshape(batch * t_out, in_ch * k)
-        pre = (cols @ w.data.reshape(out_ch, -1).T).reshape(batch, t_out, out_ch)
+        branches.append((w, lo, off, w.data.transpose(0, 2, 1).reshape(out_ch, k * in_ch)))
+        lo += out_ch
+        spare = max(spare, off + (k - 1) // s * s)   # taps the last row block reads past
+    # channel-last; the transpose is free for a conv block's output, which
+    # is (B, T, F) in memory
+    padded = np.zeros((batch * rows_per * s + spare, in_ch), seq.dtype)
+    padded[:batch * rows_per * s].reshape(batch, rows_per * s, in_ch)[
+        :, pad_left:pad_left + length] = seq.data.transpose(0, 2, 1)
+
+    def chunks(buf, off, k):
+        """(row block, c0, c1) for each of the ceil(k/s) GEMMs of a branch:
+        a view into ``buf`` and the kernel's columns [c0, c1)."""
+        flat = buf.reshape(-1)
+        r0, phase, nu = off // s, off % s, -(-k // s)
+        rows = flat[phase * in_ch:(phase + (r0 + nu - 1 + n) * s) * in_ch].reshape(-1, s * in_ch)
+        for u in range(nu):
+            c0, c1 = u * s * in_ch, min(u * s + s, k) * in_ch
+            yield rows[r0 + u:r0 + u + n, :c1 - c0], c0, c1
+
+    out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
+    for (w, lo, off, wt), b in zip(branches, block.biases):
+        out_ch, _, k = w.shape
+        pre = tmp = None
+        for v, c0, c1 in chunks(padded, off, k):
+            if pre is None:
+                pre = v @ wt[:, c0:c1].T
+            else:
+                tmp = np.matmul(v, wt[:, c0:c1].T, out=tmp)
+                pre += tmp
+        pre = pre.reshape(batch, rows_per, out_ch)[:, :t_out]
         o = out_data[:, lo:lo + out_ch]
         np.maximum(np.add(pre.transpose(0, 2, 1), b.data[:, None], out=o), 0.0, out=o)
-        saved.append((w, lo, off, cols))
-        lo += out_ch
 
     def bwd(g):
-        grads, dseq = [], None
-        for w, lo, off, cols in reversed(saved):   # so dseq sums as (d2 + d1) + d0
+        grads, dpad = [], None
+        if seq.requires_grad:   # false for conv0, whose input is the data
+            dpad = np.zeros_like(padded)
+        for w, lo, off, wt in branches:
             out_ch, _, k = w.shape
-            gp = np.where(out_data[:, lo:lo + out_ch] > 0, g[:, lo:lo + out_ch], 0.0)
-            g2 = np.ascontiguousarray(gp.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
-            grads = [(g2.T @ cols).reshape(w.shape), gp.sum(axis=(0, 2))] + grads
-            if seq.requires_grad:   # false for conv0, whose input is the data
-                dcols = (g2 @ w.data.reshape(out_ch, -1)).reshape(batch, t_out, in_ch, k)
-                dpad = np.zeros((batch, length + K - 1, in_ch), dtype=seq.dtype)
-                for i in range(k):
-                    # for fixed kernel offset i the written positions never collide
-                    dpad[:, off + i:off + i + stride * t_out:stride] += dcols[..., i]
-                d = dpad[:, pad_left:pad_left + length]
-                dseq = d if dseq is None else dseq + d
-        # (B, C, L) C-contiguous: a transposed view would reorder the bias sum below
-        return (None if dseq is None else np.ascontiguousarray(dseq.transpose(0, 2, 1)), *grads)
+            # the output gradient times the ReLU's 0/1 derivative, on the
+            # rows of the GEMMs: zero on the straddle rows, so they add
+            # nothing.  A multiply, because numpy's masked copy and
+            # np.where ran about 4x slower here; a non-finite gradient at an
+            # inactive unit therefore stays non-finite.
+            g2 = np.zeros((batch, rows_per, out_ch), seq.dtype)
+            gv = g2[:, :t_out]
+            gv[...] = g[:, lo:lo + out_ch].transpose(0, 2, 1)
+            gv *= out_data[:, lo:lo + out_ch].transpose(0, 2, 1) > 0
+            g2 = g2.reshape(n, out_ch)
+            dwt = np.empty_like(wt)
+            for v, c0, c1 in chunks(padded, off, k):
+                np.matmul(g2.T, v, out=dwt[:, c0:c1])
+            if dpad is not None:
+                for dv, c0, c1 in chunks(dpad, off, k):
+                    dv += g2 @ wt[:, c0:c1]
+            grads += [np.ascontiguousarray(dwt.reshape(out_ch, k, in_ch).transpose(0, 2, 1)),
+                      g2.sum(axis=0)]
+        dseq = None
+        if dpad is not None:
+            d = dpad[:batch * rows_per * s].reshape(batch, rows_per * s, in_ch)
+            # (B, C, L) C-contiguous: a transposed view would reorder the bias sum below
+            dseq = np.ascontiguousarray(d[:, pad_left:pad_left + length].transpose(0, 2, 1))
+        return (dseq, *grads)
 
     return make_op("conv1d", (seq, *(t for _, t in block.tensors())), out_data, bwd)
 

@@ -178,6 +178,8 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
     x, y = _as_arrays(train_data)
     if x.shape[0] == 0:
         raise DataError("training set is empty")
+    if test_data is not None and _as_arrays(test_data)[0].shape[0] == 0:
+        raise ContractError("cannot evaluate an empty dataset")
     n = x.shape[0]
     if y.size and (y.min() < 0 or y.max() >= model.config.num_classes):
         raise DataError(f"labels must lie in [0, {model.config.num_classes})")

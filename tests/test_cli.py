@@ -376,6 +376,21 @@ def test_train_test_channel_mismatch_fails_before_training(tmp_path, capsys):
     assert not (tmp_path / "model.cncp").exists()
 
 
+def test_train_empty_test_set_fails_before_training(tmp_path, capsys):
+    # an empty --test set is an error, not a run without test accuracy
+    data = synth_container(tmp_path)
+    empty = tmp_path / "empty.cnds"
+    container.export_dataset(empty, container.Dataset(np.zeros((0, 2, 64), np.float32),
+                                                      np.zeros(0, np.int64)))
+    for extra in ([], ["--best-checkpoint", str(tmp_path / "best.cncp")]):
+        capsys.readouterr()
+        assert run_train(tmp_path, data, ["--test", str(empty), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "cannot evaluate an empty dataset" in captured.err
+        assert "epoch" not in captured.out
+        assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.cncp"))
+
+
 def test_train_test_labels_beyond_model_classes_fail_before_training(tmp_path, capsys):
     data = synth_container(tmp_path)
     wide = synth_container(tmp_path, name="four.cnds", per_class=4,

@@ -401,6 +401,99 @@ def test_inception_init_draws_like_per_branch_glorot():
         f"branch{j}.{name}" for j in range(3) for name in ("kernels", "bias")]
 
 
+def conv_grad_reference(block, seq, gout):
+    """Brute-force kernel, bias and input gradients of ``conv_reference``
+    for the output gradient ``gout``: [(dW, db) per branch], dseq."""
+    batch, in_ch, length = seq.shape
+    mask = conv_reference(block, seq) > 0
+    dseq, grads, lo = np.zeros_like(seq), [], 0
+    for kernels in block.kernels:
+        w = kernels.data
+        out_ch, _, k = w.shape
+        pad_left = (k - 1) // 2
+        gp = np.where(mask[:, lo:lo + out_ch], gout[:, lo:lo + out_ch], 0.0)
+        dw = np.zeros_like(w)
+        for bi in range(batch):
+            for oc in range(out_ch):
+                for t in range(gp.shape[2]):
+                    for ic in range(in_ch):
+                        for j in range(k):
+                            src = t * block.stride + j - pad_left
+                            if 0 <= src < length:
+                                dw[oc, ic, j] += gp[bi, oc, t] * seq[bi, ic, src]
+                                dseq[bi, ic, src] += gp[bi, oc, t] * w[oc, ic, j]
+        grads.append((dw, gp.sum(axis=(0, 2))))
+        lo += out_ch
+    return grads, dseq
+
+
+def _lowering_cases():
+    # every kernel alone and all of them in one block, at strides up to 4
+    # (so above some kernels and above the shortest lengths) and lengths 1-13:
+    # every phase offset of a branch's windows, and partial last tap chunks
+    for kernels in ((1,), (2,), (3,), (5,), (8,), (1, 2, 3, 5, 8)):
+        for stride in (1, 2, 3, 4):
+            for length in range(1, 14):
+                yield kernels, stride, length
+
+
+def test_conv_lowering_matches_brute_force_at_every_phase():
+    rng = np.random.default_rng(40)
+    for kernels, stride, length in _lowering_cases():
+        prng = Prng(40 + stride)
+        block = InceptionConvBlock.init(prng, 2, 2, kernels, stride, dtype=np.float64)
+        for b in block.biases:
+            b.data[:] = prng.normal(0.0, 0.1, b.shape)
+        seq = rng.normal(size=(2, 2, length))
+        out = inception_conv1d_forward(block, Tensor(seq))
+        assert out.shape == (2, 2 * len(kernels), conv1d_output_length(length, stride))
+        assert np.allclose(out.data, conv_reference(block, seq), rtol=0, atol=1e-12), \
+            (kernels, stride, length)
+
+
+def test_conv_lowering_gradients_match_brute_force():
+    rng = np.random.default_rng(41)
+    for kernels, stride, length in _lowering_cases():
+        prng = Prng(41 + stride)
+        block = InceptionConvBlock.init(prng, 2, 2, kernels, stride, dtype=np.float64)
+        for b in block.biases:
+            b.data[:] = prng.normal(0.0, 0.1, b.shape)
+        seq = rng.normal(size=(2, 2, length))
+        with Graph() as g:
+            out = inception_conv1d_forward(block, Tensor(seq, requires_grad=True))
+        gout = rng.normal(size=out.shape)
+        dseq, *grads = g.nodes[0].backward_fn(gout)
+        ref, ref_dseq = conv_grad_reference(block, seq, gout)
+        case = (kernels, stride, length)
+        assert np.allclose(dseq, ref_dseq, rtol=0, atol=1e-12), case
+        for j, (dw, db) in enumerate(ref):
+            assert grads[2 * j].shape == dw.shape, case
+            assert np.allclose(grads[2 * j], dw, rtol=0, atol=1e-12), case
+            assert np.allclose(grads[2 * j + 1], db, rtol=0, atol=1e-12), case
+
+
+def test_conv_block_keeps_padded_rows_and_output():
+    # under a graph the node keeps the padded input and the output, and no
+    # window columns: each element's L+K-1 rows rounded up to whole strides,
+    # plus fewer than K+stride spare rows
+    batch, ch, length, stride, filters = 8, 22, 256, 2, 32
+    kernels = (2, 4, 8)
+    block = InceptionConvBlock.init(Prng(42), ch, filters, kernels, stride)
+    seq = Tensor(np.random.default_rng(42).normal(size=(batch, ch, length)).astype(np.float32),
+                 requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Graph() as g:
+            out = inception_conv1d_forward(block, seq)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 1
+    K = max(kernels)
+    padded = 4 * ch * (batch * (length + K - 1 + stride - 1) + K + stride)
+    assert kept < padded + out.data.nbytes + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # stacks and readout
 
