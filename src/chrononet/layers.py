@@ -17,10 +17,11 @@ A layer stores its parameters in the layout of the gate slab below: ``W``
 the whole sequence as one fused tape node with a hand-written
 backpropagation-through-time rule (checked against finite differences and
 against the step-composed path in the tests).  For its backward pass the
-node keeps the (T, B, n) input copy and two state arrays: the gate slab
-``A`` (T, B, 3m), laid out z | r | h~ like the parameters, and
-the hidden buffer ``H`` (T+1, B, m) with ``H[0] = 0``, so ``H[:-1]`` holds
-each step's previous state.
+node keeps the (T, B, n) input copy and two hidden-major state arrays: the
+gate slab ``A`` (T, 3m, B), its rows laid out z | r | h~ like the
+parameters, and the hidden buffer ``H`` (T+1, m, B) with ``H[0] = 0``, so
+``H[:-1]`` holds each step's previous state.  Each step's gate blocks and
+state are then contiguous rows, and every per-step op runs in place on them.
 
 A conv block, plain or inception, owns one kernel and one bias per branch
 and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
@@ -42,7 +43,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Prng,
     Tensor,
-    _sigmoid,
     add,
     concat,
     make_op,
@@ -250,6 +250,45 @@ def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor, T
 # fused sequence ops
 
 
+def _gru_bptt(A: np.ndarray, H: np.ndarray, U: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Backpropagation through time over one GRU layer's gates ``A``
+    (T, 3m, B) and states ``H`` (T+1, m, B), given the output gradient ``g``
+    (B, m, T); returns the pre-activation gradient (T, 3m, B).  Its other
+    whole-sequence arrays are freed on return, before the weight GEMMs."""
+    m = H.shape[1]
+    U_zr_t, U_h_t = np.ascontiguousarray(U[:2 * m].T), np.ascontiguousarray(U[2 * m:].T)
+    Z, R, C, Hp = A[:, :m], A[:, m:2 * m], A[:, 2 * m:], H[:-1]
+    # dA first holds the factors that do not depend on the carry:
+    # (h~ - h) z (1 - z), h r (1 - r) and z (1 - h~^2)
+    dA = np.empty_like(A)
+    dZ, dR, dC = dA[:, :m], dA[:, m:2 * m], dA[:, 2 * m:]
+    one_minus_z = np.subtract(1.0, Z)
+    np.subtract(C, Hp, out=dZ)
+    dZ *= Z
+    dZ *= one_minus_z
+    np.subtract(1.0, R, out=dR)
+    dR *= R
+    dR *= Hp
+    np.multiply(C, C, out=dC)
+    np.subtract(1.0, dC, out=dC)
+    dC *= Z
+    dH = g.transpose(2, 1, 0).copy()       # (T, m, B); a copy, as the loop writes to it
+    carry, drh = np.zeros_like(H[0]), np.empty_like(H[0])
+    for dz, dr, dzr, dc, dh, omz, r in zip(dZ[::-1], dR[::-1], dA[::-1, :2 * m], dC[::-1],
+                                           dH[::-1], one_minus_z[::-1], R[::-1]):
+        dh += carry
+        dc *= dh
+        np.dot(U_h_t, dc, out=drh)
+        dr *= drh
+        dz *= dh
+        np.dot(U_zr_t, dzr, out=carry)                # U_zr' dzr + dh (1 - z) + drh r
+        dh *= omz
+        carry += dh
+        drh *= r
+        carry += drh
+    return dA
+
+
 def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     """Run a GRU over (batch, channels, time); returns the full hidden
     sequence (batch, hidden, time) starting from h_0 = 0.
@@ -266,47 +305,48 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     if in_ch != p.input_size:
         raise ShapeError(f"gru expects {p.input_size} input channels, got {in_ch}")
     m = p.hidden_size
-    dtype = seq.data.dtype
-
-    W = p.W.data                                                           # (3m, n)
-    U_zr, U_h = p.U.data[:2 * m], p.U.data[2 * m:]   # contiguous row slices, no copy
-    b_zr, b_h = p.b.data[:2 * m], p.b.data[2 * m:]
+    W, U = p.W.data, p.U.data
+    dtype = np.result_type(seq.data, W, U, p.b.data)   # the in-place ops write in this type
 
     x_tbc = np.ascontiguousarray(seq.data.transpose(2, 0, 1))              # (T, B, n)
     flat = steps * batch
     x2 = x_tbc.reshape(flat, in_ch)
-    A = (x2 @ W.T).reshape(steps, batch, 3 * m)   # pre-activations, then gates
-    H = np.zeros((steps + 1, batch, m), dtype=dtype)
-    for t in range(steps):
-        h, a = H[t], A[t]
-        zr = _sigmoid(a[:, :2 * m] + h @ U_zr.T + b_zr)
-        z, r = zr[:, :m], zr[:, m:]
-        cand = np.tanh(a[:, 2 * m:] + (r * h) @ U_h.T + b_h)
-        a[:, :2 * m] = zr
-        a[:, 2 * m:] = cand
-        H[t + 1] = (1.0 - z) * h + z * cand
+    # Pre-activations plus bias, then gates, hidden-major so that a step's
+    # gate blocks are contiguous rows.  Until its step the z | r rows hold
+    # -(W x + b), and the recurrent term adds -U h: negation is exact, so the
+    # sigmoid 1 / (1 + exp(-a)) starts at exp.
+    A = np.empty((steps, 3 * m, batch), dtype)
+    np.add((x2 @ W.T).reshape(steps, batch, 3 * m).transpose(0, 2, 1), p.b.data[:, None], out=A)
+    np.negative(A[:, :2 * m], out=A[:, :2 * m])
+    H = np.zeros((steps + 1, m, batch), dtype)
+    neg_U_zr, U_h = -U[:2 * m], U[2 * m:]
+    zr_u, h_u, rh = (np.empty((k, batch), dtype) for k in (2 * m, m, m))
+    one = np.ones((), dtype)   # a 0-d operand dispatches faster than a Python float
+    # exp overflows to inf for a pre-activation below about -88 (f32); that
+    # gives 0, the exact limit
+    with np.errstate(over="ignore"):
+        for z, r, zr, cand, h, h_next in zip(A[:, :m], A[:, m:2 * m], A[:, :2 * m],
+                                             A[:, 2 * m:], H, H[1:]):
+            zr += np.dot(neg_U_zr, h, out=zr_u)
+            np.exp(zr, out=zr)
+            zr += one
+            np.reciprocal(zr, out=zr)
+            np.multiply(r, h, out=rh)
+            cand += np.dot(U_h, rh, out=h_u)
+            np.tanh(cand, out=cand)
+            np.subtract(cand, h, out=h_next)                # h + z (h~ - h)
+            h_next *= z
+            h_next += h
 
-    out_data = np.ascontiguousarray(H[1:].transpose(1, 2, 0))              # (B, m, T)
+    out_data = np.ascontiguousarray(H[1:].transpose(2, 1, 0))              # (B, m, T)
 
     def bwd(g):
-        G = g.transpose(2, 0, 1)                                           # (T, B, m)
-        dA = np.empty_like(A)
-        carry = np.zeros((batch, m), dtype=dtype)
-        for t in range(steps - 1, -1, -1):
-            dh = G[t] + carry
-            hp, a, da = H[t], A[t], dA[t]
-            z, r, cand = a[:, :m], a[:, m:2 * m], a[:, 2 * m:]
-            dhp = dh * (1.0 - z)
-            da[:, 2 * m:] = dh * z * (1.0 - cand * cand)
-            drh = da[:, 2 * m:] @ U_h
-            dhp += drh * r
-            da[:, :m] = dh * (cand - hp) * z * (1.0 - z)
-            da[:, m:2 * m] = drh * hp * r * (1.0 - r)
-            carry = dhp + da[:, :2 * m] @ U_zr
-
-        dA2 = dA.reshape(flat, 3 * m)
-        hp2 = H[:-1].reshape(flat, m)
-        rh2 = (A[:, :, m:2 * m] * H[:-1]).reshape(flat, m)
+        # row-major (T*B, k) copies, like x2, for the GEMMs below
+        dA2 = np.ascontiguousarray(_gru_bptt(A, H, U, g).transpose(0, 2, 1)).reshape(flat, 3 * m)
+        hp2 = np.ascontiguousarray(H[:-1].transpose(0, 2, 1)).reshape(flat, m)
+        rh2 = np.empty((flat, m), dtype)
+        np.multiply(A[:, m:2 * m].transpose(0, 2, 1), hp2.reshape(steps, batch, m),
+                    out=rh2.reshape(steps, batch, m))
         dX = dA2 @ W                                                       # (T*B, n)
         dseq = np.ascontiguousarray(dX.reshape(steps, batch, in_ch).transpose(1, 2, 0))
         # One GEMM per gate: a fused (3m, n) product sums in another order.

@@ -44,7 +44,7 @@ def test_criterion_01_gradient_suite_under_two_minutes():
     names = {r.name for r in results}
     assert {"conv1d", "inception_k2_4_8", "gru_layer", "dense_gru_stack_L3",
             "linear", "chrononet_end_to_end"} <= names
-    report(1, f"6 blocks, max rel error {worst.max_error:.2e} "
+    report(1, f"{len(results)} blocks, max rel error {worst.max_error:.2e} "
               f"({worst.name}), {elapsed:.1f}s")
     assert all(r.passed for r in results), gc.format_report(results)
     assert worst.max_error <= 1e-4

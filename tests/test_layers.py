@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_gru_layer_errors():
 
 def test_gru_layer_keeps_input_copy_and_two_state_arrays():
     # under a graph the backward closure holds the (T, B, n) input copy, the
-    # (T+1, B, m) hidden buffer and the (T, B, 3m) gate slab, nothing more
+    # (T+1, m, B) hidden buffer and the (T, 3m, B) gate slab, nothing more
     batch, n, steps, m = 8, 16, 200, 32
     p = GruParams.init(Prng(26), n, m)
     seq = Tensor(np.random.default_rng(26).normal(size=(batch, n, steps)).astype(np.float32),
@@ -182,6 +183,62 @@ def test_gru_layer_keeps_input_copy_and_two_state_arrays():
     assert len(g) == 1
     states = 4 * ((steps + 1) * batch * m + 3 * steps * batch * m)
     assert kept < out.data.nbytes + seq.data.nbytes + states + 64 * 1024
+
+
+def test_gru_layer_extreme_gate_biases_stay_finite_without_warnings():
+    # the sigmoid's exp overflows to inf by design at -1e3; that gives the
+    # exact limit 0 and must raise no warning
+    rng = np.random.default_rng(27)
+    seq = Tensor(rng.normal(size=(3, 2, 6)).astype(np.float32))
+    for z_bias in (-1e3, 1e3):
+        for r_bias in (-1e3, 1e3):
+            p = GruParams.init(Prng(27), 2, 4)
+            p.b.data[:4] = z_bias
+            p.b.data[4:8] = r_bias
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = gru_layer_forward(p, seq).data
+            assert np.all(np.isfinite(out))
+            if z_bias < 0:   # z -> 0 keeps h_0 = 0 throughout
+                assert np.all(out == 0.0)
+            else:
+                assert np.all(out != 0.0)
+
+
+def test_gru_layer_ignores_input_memory_layout():
+    # the GRU's real input, a conv block's output, is a transposed view of
+    # (B, T, C) memory: it gives the same bits as a C-contiguous (B, C, T)
+    # array, and the input gradient comes back C-contiguous
+    rng = np.random.default_rng(28)
+    for dtype in (np.float64, np.float32):
+        p = GruParams.init(Prng(28), 5, 4, dtype)
+        values = rng.normal(size=(3, 5, 7)).astype(dtype)
+        layouts = (values, np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1))
+        gout = rng.normal(size=(3, 4, 7)).astype(dtype)
+        runs = []
+        for x in layouts:
+            with Graph() as g:
+                out = gru_layer_forward(p, Tensor(x, requires_grad=True))
+            grads = g.nodes[0].backward_fn(gout)
+            assert grads[0].flags.c_contiguous
+            runs.append([out.data, *grads])
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_gru_layer_backward_leaves_output_gradient_unchanged():
+    # the backward loop works in place on a (T, m, B) copy of the gradient;
+    # when the transpose is already contiguous it must still be a copy
+    for batch, m, order in ((1, 1, "C"), (3, 4, "F")):
+        p = GruParams.init(Prng(29), 2, m, np.float64)
+        seq = Tensor(np.random.default_rng(29).normal(size=(batch, 2, 6)), requires_grad=True)
+        with Graph() as g:
+            out = gru_layer_forward(p, seq)
+        gout = np.asarray(np.random.default_rng(30).normal(size=out.shape), order=order)
+        before = gout.copy()
+        g.nodes[0].backward_fn(gout)
+        assert np.array_equal(gout, before)
 
 
 def test_gru_layer_zero_params_zero_output():
