@@ -19,7 +19,7 @@ from .data.edf import read_edf
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericError, ShapeError)
 from .tensor import Prng
-from .training import (TrainConfig, format_metrics_row, cross_validate,
+from .training import (TrainConfig, format_metrics_row, check_data, cross_validate,
                        predict, summarize_folds, train, write_metrics_csv,
                        METRICS_HEADER)
 
@@ -132,18 +132,6 @@ def _infer_classes(args, labels: np.ndarray) -> int:
 # Commands
 
 
-def _check_channels(expected: int, dataset, path) -> None:
-    channels = dataset.samples.shape[1]
-    if channels != expected:
-        raise ConfigError(f"model expects {expected} channels, {path} has {channels}")
-
-
-def _check_labels(num_classes: int, dataset, path) -> None:
-    if len(dataset) and dataset.labels.max() >= num_classes:
-        raise DataError(f"{path}: label {dataset.labels.max()} outside the model's "
-                        f"{num_classes} classes")
-
-
 def _print_metrics_row(row) -> None:
     # the header comes with the first row, so a run that fails before its
     # first step prints nothing on stdout
@@ -160,11 +148,7 @@ def cmd_train(args) -> int:
     dataset = container.import_dataset(args.data)
     num_classes = _infer_classes(args, dataset.labels)
     model_cfg = _model_config(args, dataset.samples.shape[1], num_classes)
-    test_set = None
-    if args.test:
-        test_set = container.import_dataset(args.test)
-        _check_channels(model_cfg.input_channels, test_set, args.test)
-        _check_labels(model_cfg.num_classes, test_set, args.test)
+    test_set = container.import_dataset(args.test) if args.test else None
     base_cfg = _train_config(args)
 
     final_test_accs = []
@@ -200,11 +184,10 @@ def cmd_eval(args) -> int:
     snapshot = ckpt.load_checkpoint(args.checkpoint)
     model = ckpt.model_from_checkpoint(snapshot)
     dataset = container.import_dataset(args.data)
-    _check_channels(model.config.input_channels, dataset, args.data)
+    check_data(model.config, (dataset.samples, dataset.labels), args.data)
     if len(dataset) == 0:
         raise ContractError("cannot evaluate an empty dataset")
     k = model.config.num_classes
-    _check_labels(k, dataset, args.data)
     preds = predict(model, dataset.samples)
     accuracy = float((preds == dataset.labels).mean())
     print(f"accuracy {accuracy:.4f}")

@@ -15,22 +15,22 @@ from .tensor import Graph, Prng, Tensor, backward, mul, tsum
 from .training import softmax_cross_entropy
 
 DEFAULT_TOL = 1e-4
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 
-def finite_diff(loss_fn, tensor: Tensor, step: float = DEFAULT_STEP) -> np.ndarray:
+def finite_diff(loss_fn, tensor: Tensor) -> np.ndarray:
     """Central-difference gradient of loss_fn with respect to one tensor."""
     grad = np.zeros_like(tensor.data)
     flat = tensor.data.reshape(-1)
     out = grad.reshape(-1)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + step
+        flat[i] = saved + STEP
         plus = loss_fn().item()
-        flat[i] = saved - step
+        flat[i] = saved - STEP
         minus = loss_fn().item()
         flat[i] = saved
-        out[i] = (plus - minus) / (2 * step)
+        out[i] = (plus - minus) / (2 * STEP)
     return grad
 
 
@@ -51,15 +51,14 @@ class BlockResult:
         return self.max_error <= self.tolerance
 
 
-def check_block(name: str, loss_fn, named_tensors, tol: float = DEFAULT_TOL,
-                step: float = DEFAULT_STEP) -> BlockResult:
+def check_block(name: str, loss_fn, named_tensors, tol: float = DEFAULT_TOL) -> BlockResult:
     with Graph() as g:
         loss = loss_fn()
     analytic = backward(loss, g)
     worst_err = 0.0
     worst_name = "-"
     for pname, tensor in named_tensors:
-        numeric = finite_diff(loss_fn, tensor, step)
+        numeric = finite_diff(loss_fn, tensor)
         a = analytic.get(tensor)
         if a is None:
             a = np.zeros_like(tensor.data)
@@ -154,13 +153,12 @@ BLOCKS = [
 ]
 
 
-def run_suite(seed: int = 0, tol: float = DEFAULT_TOL,
-              step: float = DEFAULT_STEP) -> list[BlockResult]:
+def run_suite(seed: int = 0, tol: float = DEFAULT_TOL) -> list[BlockResult]:
     results = []
     for index, (name, make) in enumerate(BLOCKS):
         prng = Prng(Prng(seed).derive(index))
         loss_fn, named = make(prng)
-        results.append(check_block(name, loss_fn, named, tol, step))
+        results.append(check_block(name, loss_fn, named, tol))
     return results
 
 

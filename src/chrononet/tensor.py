@@ -1,9 +1,11 @@
 """Dense tensors with taped reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a row-major numpy float array (float32 for training,
-float64 for gradient checking).  While a :class:`Graph` is active, every
-operation appends one node to it; :func:`backward` replays the tape in
-reverse insertion order, which is a valid topological order by construction.
+A :class:`Tensor` wraps a numpy float array (float32 for training, float64
+for gradient checking) in the layout of the op that made it: a conv block's
+(B, F, T) output is a transposed view of a (B, T, F) buffer.  While a
+:class:`Graph` is active, every operation appends one node to it;
+:func:`backward` replays the tape in reverse insertion order, which is a
+valid topological order by construction.
 
 Broadcasting follows the trailing-dimension rule and is one-sided: the right
 operand of a binary op may broadcast up to the left operand's shape, never
@@ -24,8 +26,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr

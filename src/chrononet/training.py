@@ -1,5 +1,7 @@
 """Loss, Adam, the training loop, evaluation, and grouped k-fold splitting."""
 
+import ctypes
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -8,7 +10,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .architectures import Model, ModelConfig, build, forward
-from .errors import ConfigError, ContractError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .tensor import Graph, Prng, Tensor, backward, make_op
 
 BETA1 = 0.9
@@ -156,12 +158,58 @@ def clip_gradients(grads: dict, max_norm: float, sums: dict | None = None) -> fl
 # Training / evaluation
 
 
-def _as_arrays(data):
-    if isinstance(data, tuple):
-        x, y = data
-    else:
-        x, y = data.samples, data.labels
-    return np.asarray(x), np.asarray(y, dtype=np.int64)
+def check_data(config: ModelConfig, data, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` as (samples, int64 labels), if a ``config`` model accepts it:
+    (N, channels, length) samples with the model's channels, one label per
+    sample, each one of the model's classes. Errors name the data ``name``."""
+    x, y = np.asarray(data[0]), np.asarray(data[1], dtype=np.int64)
+    if x.ndim != 3:
+        raise ShapeError(f"{name}: samples must be (N, channels, length), got {x.shape}")
+    if y.shape != x.shape[:1]:
+        raise DataError(f"{name}: {x.shape[0]} samples but labels of shape {y.shape}")
+    if x.shape[1] != config.input_channels:
+        raise ConfigError(f"model expects {config.input_channels} channels, "
+                          f"{name} has {x.shape[1]}")
+    k = config.num_classes
+    if y.size and (y.min() < 0 or y.max() >= k):
+        bad = y.max() if y.max() >= k else y.min()
+        raise DataError(f"{name}: label {bad} outside the model's {k} classes")
+    return x, y
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap a finished step frees (glibc only): by default glibc
+    trims it, and each step faulted ~3,600 pages in again (crnn, B=64,
+    2x256). The values are what glibc's own rule sets once 16 MiB is freed."""
+    if sys.platform == "linux":
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
+def _step(model: Model, params, state: AdamState, cfg: TrainConfig,
+          xb: np.ndarray, yb: np.ndarray, where: str) -> tuple[float, int]:
+    """One update on one batch; returns its loss and its count of correct
+    argmaxes. Its tape, logits and gradients die when it returns."""
+    with Graph() as g:
+        logits = forward(model, Tensor(xb))
+        loss = softmax_cross_entropy(logits, yb)
+    loss_val = loss.item()
+    if not np.isfinite(loss_val):
+        # The loss node is on the tape, so some node is always found.
+        tag = next(node.tag for node in g.nodes
+                   if not np.all(np.isfinite(node.out.data)))
+        raise NumericError(f"{where}: non-finite values produced by op '{tag}'")
+    grad_map = backward(loss, g)
+    grads = {name: grad_map[t] for name, t in params if t in grad_map}
+    sums = _squared_sums(grads)
+    for name, s in sums.items():
+        if not np.isfinite(s):
+            raise NumericError(f"{where}: non-finite gradient for {name}")
+    if cfg.grad_clip is not None:
+        clip_gradients(grads, cfg.grad_clip, sums)
+    adam_step(params, grads, state, cfg.learning_rate)
+    return loss_val, int((np.argmax(logits.data, axis=1) == yb).sum())
 
 
 def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
@@ -170,20 +218,22 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
     """Run the full loop and return one Metrics row per epoch.
 
     Shuffling, batching, and updates are all driven by cfg.seed, so two runs
-    with the same inputs produce the same loss trajectory.
+    with the same inputs produce the same loss trajectory. Training sets the
+    process's glibc heap thresholds (``_keep_freed_heap``).
     """
     cfg.validate()
     if best_checkpoint_path is not None and test_data is None:
         raise ConfigError("a best checkpoint is chosen by test accuracy and needs test data")
-    x, y = _as_arrays(train_data)
+    x, y = check_data(model.config, train_data, "training set")
     if x.shape[0] == 0:
         raise DataError("training set is empty")
-    if test_data is not None and _as_arrays(test_data)[0].shape[0] == 0:
-        raise ContractError("cannot evaluate an empty dataset")
+    if test_data is not None:
+        test_data = check_data(model.config, test_data, "test set")
+        if test_data[0].shape[0] == 0:
+            raise ContractError("cannot evaluate an empty dataset")
     n = x.shape[0]
-    if y.size and (y.min() < 0 or y.max() >= model.config.num_classes):
-        raise DataError(f"labels must lie in [0, {model.config.num_classes})")
     x = x.astype(model.config.dtype, copy=False)
+    _keep_freed_heap()
 
     params = model.named_parameters()
     state = AdamState(params)
@@ -198,29 +248,10 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = Tensor(x[idx])
-            yb = y[idx]
-            with Graph() as g:
-                logits = forward(model, xb)
-                loss = softmax_cross_entropy(logits, yb)
-            loss_val = loss.item()
-            where = f"epoch {epoch} batch {start // cfg.batch_size}"
-            if not np.isfinite(loss_val):
-                # The loss node is on the tape, so some node is always found.
-                tag = next(node.tag for node in g.nodes
-                           if not np.all(np.isfinite(node.out.data)))
-                raise NumericError(f"{where}: non-finite values produced by op '{tag}'")
-            grad_map = backward(loss, g)
-            grads = {name: grad_map[t] for name, t in params if t in grad_map}
-            sums = _squared_sums(grads)
-            for name, s in sums.items():
-                if not np.isfinite(s):
-                    raise NumericError(f"{where}: non-finite gradient for {name}")
-            if cfg.grad_clip is not None:
-                clip_gradients(grads, cfg.grad_clip, sums)
-            adam_step(params, grads, state, cfg.learning_rate)
+            loss_val, hits = _step(model, params, state, cfg, x[idx], y[idx],
+                                   f"epoch {epoch} batch {start // cfg.batch_size}")
             loss_sum += loss_val * len(idx)
-            correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+            correct += hits
 
         train_loss = loss_sum / n
         train_acc = correct / n
@@ -255,7 +286,7 @@ def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
 
 
 def evaluate(model: Model, data) -> float:
-    x, y = _as_arrays(data)
+    x, y = check_data(model.config, data, "evaluation set")
     if x.shape[0] == 0:
         raise ContractError("cannot evaluate an empty dataset")
     return float((predict(model, x) == y).mean())
@@ -309,7 +340,7 @@ def cross_validate(model_cfg: ModelConfig, train_cfg: TrainConfig, data, groups,
     not depend on scheduling order."""
     if jobs < 1:
         raise ConfigError(f"jobs must be positive, got {jobs}")
-    x, y = _as_arrays(data)
+    x, y = check_data(model_cfg, data, "dataset")
     if len(groups) != x.shape[0]:
         raise DataError(f"{x.shape[0]} samples but {len(groups)} group ids")
     folds = kfold(groups, k, train_cfg.seed)

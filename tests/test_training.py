@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
+
 import numpy as np
 import pytest
 
+import chrononet
+from chrononet import training
 from chrononet.architectures import ConvBlockSpec, ModelConfig, build, forward
 from chrononet.errors import ConfigError, ContractError, DataError
 from chrononet.tensor import Graph, Prng, Tensor, backward
@@ -250,6 +258,104 @@ def test_predict_batch_size_invariance():
     p2 = predict(model, x, batch_size=9)
     p3 = predict(model, x, batch_size=4)  # ragged final chunk
     assert np.array_equal(p1, p2) and np.array_equal(p1, p3)
+
+
+def _parameters(model):
+    return [t.data.copy() for _, t in model.named_parameters()]
+
+
+def _unchanged(model, before):
+    return all(np.array_equal(b, t.data) for b, (_, t) in zip(before, model.named_parameters()))
+
+
+def test_train_rejects_test_set_of_other_channel_count_before_any_update():
+    x, y = tiny_dataset()
+    model = build(small_config(), Prng(0))
+    before = _parameters(model)
+    with pytest.raises(ConfigError, match="model expects 2 channels, test set has 1"):
+        train(model, (x, y), TrainConfig(batch_size=8, epochs=1),
+              test_data=(x[:4, :1], y[:4]))
+    assert _unchanged(model, before)
+
+
+def test_labels_outside_model_classes_are_errors():
+    x, y = tiny_dataset()
+    model = build(small_config(), Prng(0))
+    before = _parameters(model)
+    bad = y[:4].copy()
+    bad[1] = 3
+    with pytest.raises(DataError, match="test set: label 3 outside the model's 2 classes"):
+        train(model, (x, y), TrainConfig(batch_size=8, epochs=1), test_data=(x[:4], bad))
+    assert _unchanged(model, before)
+    bad[1] = 2
+    with pytest.raises(DataError, match="label 2 outside"):
+        evaluate(model, (x[:4], bad))
+    with pytest.raises(DataError, match="training set: label -1 outside"):
+        train(model, (x[:4], np.array([0, 1, -1, 0])), TrainConfig(epochs=1))
+
+
+def test_label_count_must_match_sample_count():
+    x, y = tiny_dataset(32)
+    model = build(small_config(), Prng(0))
+    before = _parameters(model)
+    for labels in (np.tile(y, 2), y[:20]):
+        with pytest.raises(DataError, match=f"32 samples but labels of shape \\({len(labels)},\\)"):
+            train(model, (x, labels), TrainConfig(batch_size=8, epochs=1))
+        with pytest.raises(DataError, match=f"32 samples but labels of shape \\({len(labels)},\\)"):
+            evaluate(model, (x, labels))
+    assert _unchanged(model, before)
+
+
+def test_finished_step_is_freed_before_the_next_and_before_evaluation(monkeypatch):
+    graphs, alive_at_new_step, alive_at_evaluate = [], [], []
+
+    class RecordingGraph(Graph):
+        def __init__(self):
+            super().__init__()
+            alive_at_new_step.append(sum(r() is not None for r in graphs))
+            graphs.append(weakref.ref(self))
+
+    real_evaluate = training.evaluate
+
+    def checking_evaluate(model, data):
+        alive_at_evaluate.append(sum(r() is not None for r in graphs))
+        return real_evaluate(model, data)
+
+    monkeypatch.setattr(training, "Graph", RecordingGraph)
+    monkeypatch.setattr(training, "evaluate", checking_evaluate)
+    x, y = tiny_dataset(24)
+    model = build(small_config(), Prng(0))
+    train(model, (x[:16], y[:16]), TrainConfig(batch_size=8, epochs=2),
+          test_data=(x[16:], y[16:]))
+    assert len(graphs) == 4
+    assert alive_at_new_step == [0, 0, 0, 0]
+    assert alive_at_evaluate == [0, 0]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets glibc's heap thresholds")
+def test_steps_after_the_first_fault_no_pages(tmp_path):
+    # A finished step frees its tape and gradients. Unless the heap keeps
+    # those pages, every step faults them in again. A fresh process, so that
+    # no earlier test has set the allocator's state.
+    code = textwrap.dedent(f"""
+        import resource, statistics
+        import numpy as np
+        from chrononet import cli, training
+        faults, real_adam_step = [], training.adam_step
+        def adam_step(*args):
+            real_adam_step(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        training.adam_step = adam_step
+        data = "{tmp_path / 'train.cnds'}"
+        cli.main(["synth", "--out", data, "--per-class", "256", "--length", "256"])
+        cli.main(["train", "--data", data, "--arch", "crnn", "--epochs", "1", "--batch", "64",
+                  "--checkpoint", "{tmp_path / 'm.cncp'}", "--metrics", "{tmp_path / 'm.csv'}"])
+        print(statistics.median(np.diff(faults[1:])))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chrononet.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert float(out.splitlines()[-1]) == 0
 
 
 # ---------------------------------------------------------------------------
