@@ -267,8 +267,7 @@ def cmd_prepare(args) -> int:
     labels = {"train": [], "test": []}
     patients = {"train": [], "test": []}
     for entry in entries:
-        path = entry.path if os.path.isabs(entry.path) \
-            else os.path.join(args.edf_dir, entry.path)
+        path = os.path.join(args.edf_dir, entry.path)  # an absolute entry.path wins
         rec = _prepare_stage("read_edf", path, lambda p=path: read_edf(p))
         sig = _prepare_stage("apply_montage", path, lambda r=rec: montage.apply_montage(r, pairs))
         sig = _prepare_stage("resample", path, lambda s=sig: preprocess.resample_recording(s))

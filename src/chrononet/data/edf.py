@@ -3,9 +3,12 @@
 Only the continuous subset is handled: fixed 256-byte header, one 256-byte
 header block per signal (stored field-major), then data records of
 little-endian int16 samples. Annotations and discontinuous files are out of
-scope. The writer exists mainly so tests can round-trip real byte layouts.
+scope. Both headers are read and written from one field table each. The
+writer lets tests round-trip real byte layouts and builds the benchmark's
+EDF corpus.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,32 +18,36 @@ from ..errors import DataError, FormatError
 HEADER_SIZE = 256
 SIGNAL_HEADER_SIZE = 256
 
-# (name, width in bytes) in file order for the fixed header
+# (name, width in bytes, type) in file order for the fixed header. A typed
+# field is read into the EdfRecording attribute of its name (signal_count
+# sizes the signal list); a field of type None is skipped on read.
 _FIXED_FIELDS = (
-    ("version", 8),
-    ("patient_id", 80),
-    ("recording_id", 80),
-    ("start_date", 8),
-    ("start_time", 8),
-    ("header_bytes", 8),
-    ("reserved", 44),
-    ("record_count", 8),
-    ("record_duration", 8),
-    ("signal_count", 4),
+    ("version", 8, None),
+    ("patient_id", 80, str),
+    ("recording_id", 80, str),
+    ("start_date", 8, str),
+    ("start_time", 8, str),
+    ("header_bytes", 8, None),
+    ("reserved", 44, None),
+    ("record_count", 8, int),
+    ("record_duration", 8, float),
+    ("signal_count", 4, int),
 )
 
-# (name, width per signal) in file order for the signal header block
+# The same for the signal header block, into EdfSignal attributes. Each
+# field is stored for every signal in turn: all labels, then all
+# transducers, and so on.
 _SIGNAL_FIELDS = (
-    ("label", 16),
-    ("transducer", 80),
-    ("physical_dimension", 8),
-    ("physical_min", 8),
-    ("physical_max", 8),
-    ("digital_min", 8),
-    ("digital_max", 8),
-    ("prefiltering", 80),
-    ("samples_per_record", 8),
-    ("reserved", 32),
+    ("label", 16, str),
+    ("transducer", 80, None),
+    ("physical_dimension", 8, str),
+    ("physical_min", 8, float),
+    ("physical_max", 8, float),
+    ("digital_min", 8, int),
+    ("digital_max", 8, int),
+    ("prefiltering", 80, None),
+    ("samples_per_record", 8, int),
+    ("reserved", 32, None),
 )
 
 
@@ -79,24 +86,36 @@ def digital_to_physical(d, physical_min, physical_max, digital_min, digital_max)
     return physical_min + (np.asarray(d, dtype=np.float64) - digital_min) * scale
 
 
-def _text(buf: bytes, offset: int, width: int) -> str:
-    return buf[offset:offset + width].decode("ascii", errors="replace").strip()
+def _what(name: str) -> str:
+    """A field's name as messages spell it."""
+    return "samples/record" if name == "samples_per_record" else name.replace("_", " ")
 
 
-def _int(buf: bytes, offset: int, width: int, what: str) -> int:
-    raw = _text(buf, offset, width)
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(f"{what}: expected integer, got {raw!r}", offset=offset) from None
+def _offset(table, name: str, base: int = 0, count: int = 1, i: int = 0) -> int:
+    """Offset of entry i's field `name` in a field-major block of count entries."""
+    for field, width, _ in table:
+        if field == name:
+            return base + i * width
+        base += count * width
 
 
-def _float(buf: bytes, offset: int, width: int, what: str) -> float:
-    raw = _text(buf, offset, width)
-    try:
-        return float(raw)
-    except ValueError:
-        raise FormatError(f"{what}: expected number, got {raw!r}", offset=offset) from None
+def _read_block(buf: bytes, table, base: int, count: int) -> list[dict]:
+    """Parse the typed fields of a field-major block of count entries."""
+    entries = [{} for _ in range(count)]
+    for name, width, kind in table:
+        for i, entry in enumerate(entries if kind is not None else ()):
+            offset = base + i * width
+            raw = buf[offset:offset + width].decode("ascii", errors="replace").strip()
+            try:
+                entry[name] = kind(raw)
+            except ValueError:
+                entry[name] = math.nan
+            if kind is not str and not math.isfinite(entry[name]):  # float() takes nan, inf
+                what = _what(name) + (f" of {entry['label']}" if "label" in entry else "")
+                expected = "integer" if kind is int else "number"
+                raise FormatError(f"{what}: expected {expected}, got {raw!r}", offset=offset)
+        base += count * width
+    return entries
 
 
 def read_edf(path) -> EdfRecording:
@@ -105,115 +124,71 @@ def read_edf(path) -> EdfRecording:
     if len(buf) < HEADER_SIZE:
         raise FormatError("file shorter than the 256-byte fixed header", offset=len(buf))
 
-    fields = {}
-    offsets = {}
-    pos = 0
-    for name, width in _FIXED_FIELDS:
-        offsets[name] = pos
-        fields[name] = _text(buf, pos, width)
-        pos += width
-
-    ns = _int(buf, offsets["signal_count"], 4, "signal count")
+    (head,) = _read_block(buf, _FIXED_FIELDS, 0, 1)
+    ns = head.pop("signal_count")
+    rec = EdfRecording(**head, signals=[])
     if ns < 1:
         raise FormatError(f"signal count must be positive, got {ns}",
-                          offset=offsets["signal_count"])
-    record_count = _int(buf, offsets["record_count"], 8, "record count")
-    if record_count < -1:
-        raise FormatError(f"record count {record_count} is below -1", offset=offsets["record_count"])
-    record_duration = _float(buf, offsets["record_duration"], 8, "record duration")
-    if record_duration <= 0:
-        raise FormatError(f"record duration must be positive, got {record_duration}",
-                          offset=offsets["record_duration"])
+                          offset=_offset(_FIXED_FIELDS, "signal_count"))
+    if rec.record_count < -1:
+        raise FormatError(f"record count {rec.record_count} is below -1",
+                          offset=_offset(_FIXED_FIELDS, "record_count"))
+    if rec.record_duration <= 0:
+        raise FormatError(f"record duration must be positive, got {rec.record_duration}",
+                          offset=_offset(_FIXED_FIELDS, "record_duration"))
 
     header_bytes = HEADER_SIZE + ns * SIGNAL_HEADER_SIZE
     if len(buf) < header_bytes:
         raise FormatError(f"file ends inside the signal headers ({ns} signals declared)",
                           offset=len(buf))
 
-    # Signal header fields are stored field-major: all labels, then all
-    # transducers, and so on.
-    sig_offsets = {}
-    pos = HEADER_SIZE
-    for name, width in _SIGNAL_FIELDS:
-        sig_offsets[name] = (pos, width)
-        pos += ns * width
+    # samples are filled in once the data records are checked
+    rec.signals = [EdfSignal(**fields, samples=None)
+                   for fields in _read_block(buf, _SIGNAL_FIELDS, HEADER_SIZE, ns)]
+    for i, sig in enumerate(rec.signals):
+        def at(name):
+            return _offset(_SIGNAL_FIELDS, name, HEADER_SIZE, ns, i)
+        if sig.digital_min >= sig.digital_max:
+            raise FormatError(f"signal {sig.label!r}: digital min {sig.digital_min} "
+                              f">= digital max {sig.digital_max}", offset=at("digital_min"))
+        if sig.physical_min == sig.physical_max:
+            raise FormatError(f"signal {sig.label!r}: physical min equals physical max "
+                              f"({sig.physical_min})", offset=at("physical_min"))
+        if sig.samples_per_record < 1:
+            raise FormatError(f"signal {sig.label!r}: samples/record must be positive",
+                              offset=at("samples_per_record"))
 
-    def field(name, i):
-        base, width = sig_offsets[name]
-        return base + i * width, width
-
-    labels = [_text(buf, *field("label", i)) for i in range(ns)]
-    dims = [_text(buf, *field("physical_dimension", i)) for i in range(ns)]
-    phys_min = [_float(buf, *field("physical_min", i), f"physical min of {labels[i]}")
-                for i in range(ns)]
-    phys_max = [_float(buf, *field("physical_max", i), f"physical max of {labels[i]}")
-                for i in range(ns)]
-    dig_min = [_int(buf, *field("digital_min", i), f"digital min of {labels[i]}")
-               for i in range(ns)]
-    dig_max = [_int(buf, *field("digital_max", i), f"digital max of {labels[i]}")
-               for i in range(ns)]
-    spr = [_int(buf, *field("samples_per_record", i), f"samples/record of {labels[i]}")
-           for i in range(ns)]
-
-    for i in range(ns):
-        if dig_min[i] >= dig_max[i]:
-            raise FormatError(
-                f"signal {labels[i]!r}: digital min {dig_min[i]} >= digital max {dig_max[i]}",
-                offset=field("digital_min", i)[0])
-        if phys_min[i] == phys_max[i]:
-            raise FormatError(
-                f"signal {labels[i]!r}: physical min equals physical max ({phys_min[i]})",
-                offset=field("physical_min", i)[0])
-        if spr[i] < 1:
-            raise FormatError(f"signal {labels[i]!r}: samples/record must be positive",
-                              offset=field("samples_per_record", i)[0])
-
-    record_words = sum(spr)
+    record_words = sum(sig.samples_per_record for sig in rec.signals)
     data_bytes = len(buf) - header_bytes
-    if record_count == -1:  # unknown count: infer from the file size
-        record_count = data_bytes // (2 * record_words)
-    if data_bytes < 2 * record_words * record_count:
+    if rec.record_count == -1:  # unknown count: infer from the file size
+        rec.record_count = data_bytes // (2 * record_words)
+    if data_bytes < 2 * record_words * rec.record_count:
         raise FormatError(
-            f"file ends inside the data records ({record_count} records declared)",
+            f"file ends inside the data records ({rec.record_count} records declared)",
             offset=len(buf))
 
-    raw = np.frombuffer(buf, dtype="<i2", count=record_words * record_count,
+    raw = np.frombuffer(buf, dtype="<i2", count=record_words * rec.record_count,
                         offset=header_bytes)
-    table = raw.reshape(record_count, record_words)
-    signals = []
+    table = raw.reshape(rec.record_count, record_words)
     col = 0
-    for i in range(ns):
-        digital = table[:, col:col + spr[i]].reshape(-1)
-        col += spr[i]
-        physical = digital_to_physical(digital, phys_min[i], phys_max[i],
-                                       dig_min[i], dig_max[i])
-        signals.append(EdfSignal(labels[i], dims[i], phys_min[i], phys_max[i],
-                                 dig_min[i], dig_max[i], spr[i], physical))
-
-    return EdfRecording(
-        patient_id=fields["patient_id"],
-        recording_id=fields["recording_id"],
-        start_date=fields["start_date"] or "01.01.01",
-        start_time=fields["start_time"] or "00.00.00",
-        record_count=record_count,
-        record_duration=record_duration,
-        signals=signals,
-    )
+    for sig in rec.signals:
+        digital = table[:, col:col + sig.samples_per_record].reshape(-1)
+        col += sig.samples_per_record
+        sig.samples = digital_to_physical(digital, sig.physical_min, sig.physical_max,
+                                          sig.digital_min, sig.digital_max)
+    rec.start_date = rec.start_date or "01.01.01"
+    rec.start_time = rec.start_time or "00.00.00"
+    return rec
 
 
-def _pad(value: str, width: int, what: str) -> bytes:
-    encoded = str(value).encode("ascii")
+def _field_bytes(value, width: int, name: str) -> bytes:
+    """A header field: text as given, numbers as integers where exact, else 6 digits."""
+    if not isinstance(value, str):
+        value = str(int(value)) if float(value) == int(value) else f"{value:.6g}"
+    encoded = value.encode("ascii")
     if len(encoded) > width:
-        raise DataError(f"{what} {value!r} does not fit in {width} bytes")
+        raise DataError(f"{_what(name)} {value!r} does not fit in {width} bytes")
     return encoded.ljust(width)
-
-
-def _num8(value, what: str) -> bytes:
-    if float(value) == int(value):
-        text = str(int(value))
-    else:
-        text = f"{value:.6g}"
-    return _pad(text, 8, what)
 
 
 def write_edf(path, rec: EdfRecording) -> None:
@@ -225,33 +200,12 @@ def write_edf(path, rec: EdfRecording) -> None:
                 f"signal {sig.label!r} has {sig.samples.shape[0]} samples, "
                 f"expected {expected} ({rec.record_count} records x {sig.samples_per_record})")
 
-    parts = [
-        _pad("0", 8, "version"),
-        _pad(rec.patient_id, 80, "patient id"),
-        _pad(rec.recording_id, 80, "recording id"),
-        _pad(rec.start_date, 8, "start date"),
-        _pad(rec.start_time, 8, "start time"),
-        _num8(HEADER_SIZE + ns * SIGNAL_HEADER_SIZE, "header bytes"),
-        _pad("", 44, "reserved"),
-        _num8(rec.record_count, "record count"),
-        _num8(rec.record_duration, "record duration"),
-        _pad(str(ns), 4, "signal count"),
-    ]
-
-    def per_signal(width, what, values):
-        return [_pad(v, width, what) if isinstance(v, str) else _num8(v, what)
-                for v in values]
-
-    parts += per_signal(16, "label", [s.label for s in rec.signals])
-    parts += per_signal(80, "transducer", ["" for _ in rec.signals])
-    parts += per_signal(8, "physical dimension", [s.physical_dimension for s in rec.signals])
-    parts += per_signal(8, "physical min", [s.physical_min for s in rec.signals])
-    parts += per_signal(8, "physical max", [s.physical_max for s in rec.signals])
-    parts += per_signal(8, "digital min", [s.digital_min for s in rec.signals])
-    parts += per_signal(8, "digital max", [s.digital_max for s in rec.signals])
-    parts += per_signal(80, "prefiltering", ["" for _ in rec.signals])
-    parts += per_signal(8, "samples/record", [s.samples_per_record for s in rec.signals])
-    parts += per_signal(32, "reserved", ["" for _ in rec.signals])
+    # fields neither class holds are written as these values, or blank
+    head = {**vars(rec), "version": "0", "signal_count": ns,
+            "header_bytes": HEADER_SIZE + ns * SIGNAL_HEADER_SIZE}
+    parts = [_field_bytes(head.get(name, ""), width, name) for name, width, _ in _FIXED_FIELDS]
+    parts += [_field_bytes(getattr(sig, name, ""), width, name)
+              for name, width, _ in _SIGNAL_FIELDS for sig in rec.signals]
 
     digitals = []
     for sig in rec.signals:

@@ -34,6 +34,8 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
     if from_hz <= 0 or to_hz <= 0:
         raise ContractError(f"rates must be positive, got {from_hz} -> {to_hz}")
     signal = np.asarray(signal, dtype=np.float64)
+    if signal.shape[-1] == 0:  # none in, none out: np.convolve rejects empty input
+        return signal.copy()
     if signal.ndim == 1:
         return _resample_1d(signal, from_hz, to_hz)
     return np.stack([_resample_1d(row, from_hz, to_hz)

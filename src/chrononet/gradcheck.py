@@ -68,25 +68,25 @@ def check_block(name: str, loss_fn, named_tensors, tol: float = DEFAULT_TOL) -> 
     return BlockResult(name, worst_err, worst_name, tol)
 
 
-def _projection(prng: Prng, loss_fn_raw) -> tuple:
-    """Freeze a random projection matching the raw output's shape."""
+def _projection(prng: Prng, loss_fn_raw):
+    """A scalar loss: the raw output projected on a frozen random tensor of its shape."""
     shape = loss_fn_raw().shape
     r = Tensor(prng.normal(0.0, 1.0, shape))
-    return r, lambda: tsum(mul(loss_fn_raw(), r))
+    return lambda: tsum(mul(loss_fn_raw(), r))
 
 
 def _block_linear(prng: Prng):
     w = Tensor(prng.normal(0.0, 1.0, (3, 5)), requires_grad=True)
     b = Tensor(prng.normal(0.0, 1.0, (3,)), requires_grad=True)
     x = Tensor(prng.normal(0.0, 1.0, (2, 5)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.linear_forward(w, b, x))
+    loss_fn = _projection(prng, lambda: L.linear_forward(w, b, x))
     return loss_fn, [("W", w), ("b", b), ("x", x)]
 
 
 def _block_conv1d(prng: Prng):
     block = L.InceptionConvBlock.init(prng, 3, 4, (3,), 2, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 12)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
+    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
     named = [("conv.kernels", block.kernels[0]), ("conv.bias", block.biases[0]), ("seq", seq)]
     return loss_fn, named
 
@@ -94,7 +94,7 @@ def _block_conv1d(prng: Prng):
 def _block_inception(prng: Prng):
     block = L.InceptionConvBlock.init(prng, 2, 2, (2, 4, 8), 2, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 12)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
+    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
     named = block.tensors() + [("seq", seq)]
     return loss_fn, named
 
@@ -104,7 +104,7 @@ def _block_inception_uneven(prng: Prng):
     # taps, and puts the length-2 kernel's windows at an odd phase
     block = L.InceptionConvBlock.init(prng, 2, 2, (5, 2), 3, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 11)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
+    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
     named = block.tensors() + [("seq", seq)]
     return loss_fn, named
 
@@ -112,7 +112,7 @@ def _block_inception_uneven(prng: Prng):
 def _block_gru_layer(prng: Prng):
     p = L.GruParams.init(prng, 3, 4, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 6)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.gru_layer_forward(p, seq))
+    loss_fn = _projection(prng, lambda: L.gru_layer_forward(p, seq))
     named = [(f"gru.{n}", t) for n, t in p.tensors()] + [("seq", seq)]
     return loss_fn, named
 
@@ -120,7 +120,7 @@ def _block_gru_layer(prng: Prng):
 def _block_dense_stack(prng: Prng):
     stack = L.DenseGruStack.init(prng, 2, [3, 4, 5], dense=True, dtype=np.float64)
     seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 6)), requires_grad=True)
-    _, loss_fn = _projection(prng, lambda: L.dense_gru_forward(stack, seq))
+    loss_fn = _projection(prng, lambda: L.dense_gru_forward(stack, seq))
     named = stack.tensors() + [("seq", seq)]
     return loss_fn, named
 

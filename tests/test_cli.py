@@ -567,17 +567,19 @@ def test_prepare_short_test_session_names_stage(tmp_path, capsys):
     edf_dir = tmp_path / "edf"
     edf_dir.mkdir()
     write_session(edf_dir / "train.edf", 120, seed=1)
-    write_session(edf_dir / "short.edf", 30, seed=2)
-    manifest = tmp_path / "m.csv"
-    manifest.write_text(
-        "path,label,patient_id,split\n"
-        "train.edf,0,pa,train\n"
-        "short.edf,1,pb,test\n")
-    code = main(["prepare", "--edf-dir", str(edf_dir),
-                 "--manifest", str(manifest), "--out", str(tmp_path / "s")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "short.edf" in err and "extract_windows" in err
+    # 30 s, and no data records at all at a rate that is resampled
+    for name, seconds, rate in (("short.edf", 30, 250.0), ("empty.edf", 0, 512.0)):
+        write_session(edf_dir / name, seconds, rate=rate, seed=2)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "path,label,patient_id,split\n"
+            "train.edf,0,pa,train\n"
+            f"{name},1,pb,test\n")
+        code = main(["prepare", "--edf-dir", str(edf_dir),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "extract_windows" in err
 
 
 def test_prepare_groups_write_failure_leaves_no_output(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from chrononet.data.edf import (HEADER_SIZE, SIGNAL_HEADER_SIZE,
-                                digital_to_physical, read_edf,
+from chrononet.data.edf import (HEADER_SIZE, SIGNAL_HEADER_SIZE, EdfRecording,
+                                EdfSignal, digital_to_physical, read_edf,
                                 recording_from_arrays, write_edf)
 from chrononet.errors import DataError, FormatError
 
@@ -42,6 +44,41 @@ def test_scaling_monotone_and_affine():
 
 # ---------------------------------------------------------------------------
 # reader/writer round trip
+
+
+def test_bytes_follow_documented_layout(tmp_path):
+    digital = [np.array([-2048, 0, 2047, 5, -7, 100]), np.array([-100, 100, 0, 1])]
+    ranges = [(-500.0, 500.0, -2048, 2047), (-2.5, 2.5, -100, 100)]
+    signals = [EdfSignal(label, dim, *r, spr, digital_to_physical(d, *r))
+               for label, dim, r, spr, d in zip(("EEG A-REF", "EEG B-REF"), ("uV", "mV"),
+                                                ranges, (3, 2), digital)]
+    rec = EdfRecording("P 7", "R 9", "02.03.04", "05.06.07", 2, 0.5, signals)
+    path = tmp_path / "layout.edf"
+    write_edf(path, rec)
+
+    def field(text, width):
+        return text.encode("ascii").ljust(width)
+
+    expected = b"".join(field(t, w) for t, w in (
+        ("0", 8), ("P 7", 80), ("R 9", 80), ("02.03.04", 8), ("05.06.07", 8),
+        ("768", 8), ("", 44), ("2", 8), ("0.5", 8), ("2", 4)))
+    for width, texts in ((16, ("EEG A-REF", "EEG B-REF")), (80, ("", "")), (8, ("uV", "mV")),
+                         (8, ("-500", "-2.5")), (8, ("500", "2.5")), (8, ("-2048", "-100")),
+                         (8, ("2047", "100")), (80, ("", "")), (8, ("3", "2")), (32, ("", ""))):
+        expected += b"".join(field(t, width) for t in texts)   # field-major
+    for r in range(2):   # each record holds every signal's samples in turn
+        expected += struct.pack("<3h", *digital[0][3 * r:3 * r + 3])
+        expected += struct.pack("<2h", *digital[1][2 * r:2 * r + 2])
+    assert path.read_bytes() == expected
+
+    def fields(obj, skip):
+        return {k: v for k, v in vars(obj).items() if k != skip}
+
+    loaded = read_edf(path)
+    assert fields(loaded, "signals") == fields(rec, "signals")
+    for sig, original in zip(loaded.signals, signals):
+        assert fields(sig, "samples") == fields(original, "samples")
+        assert sig.samples.tobytes() == original.samples.tobytes()
 
 
 def test_round_trip_within_one_quantum(tmp_path):
@@ -146,13 +183,35 @@ def test_truncated_data_records(tmp_path):
 
 
 def test_non_numeric_header_field(tmp_path):
+    path = make_file(tmp_path, [np.zeros(100), np.zeros(100)], rate=100.0)
+    good = path.read_bytes()
+    # two signals: each signal field block holds two entries, the second's last
+    for offset, width in ((252, 4),    # signal count
+                          (236, 8),    # record count
+                          (244, 8),    # record duration
+                          (488, 8),    # physical max of the second signal
+                          (520, 8),    # digital max of the second signal
+                          (696, 8)):   # samples/record of the second signal
+        blob = bytearray(good)
+        blob[offset:offset + width] = b"abcd".ljust(width)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            read_edf(path)
+        assert err.value.offset == offset
+
+
+def test_non_finite_header_number_rejected(tmp_path):
     path = make_file(tmp_path, [np.zeros(100)], rate=100.0)
-    blob = bytearray(path.read_bytes())
-    blob[252:256] = b"abcd"  # signal count
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError) as err:
-        read_edf(path)
-    assert err.value.offset == 252
+    good = path.read_bytes()
+    phys_min_off = HEADER_SIZE + (16 + 80 + 8) * 1
+    for offset in (244, phys_min_off, phys_min_off + 8):  # duration, physical min and max
+        for text in (b"nan", b"inf", b"-inf", b"1e999"):
+            blob = bytearray(good)
+            blob[offset:offset + 8] = text.ljust(8)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match="expected number") as err:
+                read_edf(path)
+            assert err.value.offset == offset
 
 
 def test_digital_range_inverted(tmp_path):

@@ -56,6 +56,11 @@ def test_resample_output_length_law():
         assert out.shape[0] == int(np.floor(n * to / fr + 1e-9))
 
 
+def test_resample_empty_signal_gives_empty_output():
+    assert resample(np.zeros((22, 0)), 512.0, 250.0).shape == (22, 0)
+    assert resample(np.zeros(0), 512.0, 250.0).shape == (0,)
+
+
 def test_resample_upsampling_interpolates():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     out = resample(x, 100.0, 200.0)
