@@ -12,7 +12,8 @@ Layout (all integers little-endian):
         raw float32 values, row-major
 
 Nothing follows the last entry, and files of any other version are
-rejected.
+rejected. Each parameter of the model the config describes is stored once,
+with its shape, and no other name is stored.
 
 Values are stored as 32-bit floats, which is exactly what training mode
 uses, so a save/load round trip is bit-identical.
@@ -32,21 +33,25 @@ MAGIC = b"CNCP"
 VERSION = 3
 
 
+_CONFIG_KEYS = ("architecture", "input_channels", "conv_kernels", "conv_filters",
+                "conv_strides", "gru_widths", "num_classes", "precision", "seed", "epoch")
+
+
 def _config_text(config: ModelConfig, seed: int, epoch: int) -> str:
-    lines = [
-        f"architecture={config.architecture}",
-        f"input_channels={config.input_channels}",
-        "conv_kernels=" + ";".join(
+    values = {
+        "architecture": config.architecture,
+        "input_channels": config.input_channels,
+        "conv_kernels": ";".join(
             ",".join(str(k) for k in blk.kernel_lengths) for blk in config.conv_blocks),
-        "conv_filters=" + ";".join(str(blk.filters_per_kernel) for blk in config.conv_blocks),
-        "conv_strides=" + ";".join(str(blk.stride) for blk in config.conv_blocks),
-        "gru_widths=" + ",".join(str(w) for w in config.gru_widths),
-        f"num_classes={config.num_classes}",
-        f"precision={config.precision}",
-        f"seed={seed}",
-        f"epoch={epoch}",
-    ]
-    return "\n".join(lines) + "\n"
+        "conv_filters": ";".join(str(blk.filters_per_kernel) for blk in config.conv_blocks),
+        "conv_strides": ";".join(str(blk.stride) for blk in config.conv_blocks),
+        "gru_widths": ",".join(str(w) for w in config.gru_widths),
+        "num_classes": config.num_classes,
+        "precision": config.precision,
+        "seed": seed,
+        "epoch": epoch,
+    }
+    return "".join(f"{key}={values[key]}\n" for key in _CONFIG_KEYS)
 
 
 def _parse_config_text(text: str, offset: int) -> tuple[ModelConfig, int, int]:
@@ -58,13 +63,10 @@ def _parse_config_text(text: str, offset: int) -> tuple[ModelConfig, int, int]:
             raise FormatError(f"malformed config line {line!r}", offset=offset)
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
-    required = {"architecture", "input_channels", "conv_kernels", "conv_filters",
-                "conv_strides", "gru_widths", "num_classes", "precision",
-                "seed", "epoch"}
-    missing = required - fields.keys()
+    missing = set(_CONFIG_KEYS) - fields.keys()
     if missing:
         raise FormatError(f"config text missing keys {sorted(missing)}", offset=offset)
-    unknown = fields.keys() - required
+    unknown = fields.keys() - set(_CONFIG_KEYS)
     if unknown:
         raise FormatError(f"config text has unknown keys {sorted(unknown)}", offset=offset)
     try:
@@ -93,28 +95,25 @@ def _parse_config_text(text: str, offset: int) -> tuple[ModelConfig, int, int]:
 
 @dataclass
 class Checkpoint:
-    config: ModelConfig
-    params: list[tuple[str, np.ndarray]]
+    model: Model
     seed: int = 0
     epoch: int = 0
 
-    @classmethod
-    def from_model(cls, model: Model, seed: int = 0, epoch: int = 0) -> "Checkpoint":
-        params = []
-        for name, tensor in model.named_parameters():
-            if tensor.data.dtype != np.float32:
-                raise ContractError(
-                    f"parameter {name} is {tensor.data.dtype}; only float32 models "
-                    "can be checkpointed losslessly")
-            params.append((name, tensor.data.copy()))
-        return cls(model.config, params, seed, epoch)
-
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    text = _config_text(checkpoint.config, checkpoint.seed, checkpoint.epoch).encode()
+    """Write the model's parameters as they are; nothing is written for a
+    model that is not float32."""
+    model = checkpoint.model
+    params = model.named_parameters()
+    text = _config_text(model.config, checkpoint.seed, checkpoint.epoch).encode()
     parts = [MAGIC + struct.pack("<II", VERSION, len(text)) + text
-             + struct.pack("<I", len(checkpoint.params))]
-    for name, arr in checkpoint.params:
+             + struct.pack("<I", len(params))]
+    for name, tensor in params:
+        arr = tensor.data
+        if arr.dtype != np.float32:
+            raise ContractError(
+                f"parameter {name} is {arr.dtype}; only float32 models "
+                "can be checkpointed losslessly")
         encoded = name.encode()
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q",
                                  len(encoded), encoded, arr.ndim, *arr.shape))
@@ -137,12 +136,10 @@ class _Reader:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
-    @property
-    def remaining(self) -> int:
-        return len(self.buf) - self.pos
-
 
 def load_checkpoint(path) -> Checkpoint:
+    """Build the model the config section describes, then read each stored
+    entry into the parameter of the same name."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     magic = r.take(4, "magic")
@@ -158,9 +155,11 @@ def load_checkpoint(path) -> Checkpoint:
     except UnicodeDecodeError:
         raise FormatError("config text is not UTF-8", offset=config_offset) from None
     config, seed, epoch = _parse_config_text(text, config_offset)
+    model = build(config, Prng(seed))
+    tensors = dict(model.named_parameters())
+    unread = dict(tensors)
 
     n_params = r.unpack("<I", "parameter count")
-    params: list[tuple[str, np.ndarray]] = []
     for i in range(n_params):
         name_len = r.unpack("<H", f"name length of parameter {i}")
         name_offset = r.pos
@@ -169,31 +168,22 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError:
             raise FormatError(f"name of parameter {i} is not UTF-8",
                               offset=name_offset) from None
+        if name not in tensors:
+            raise FormatError(f"parameter {name} is not in the model", offset=name_offset)
+        if name not in unread:
+            raise FormatError(f"parameter {name} is stored twice", offset=name_offset)
+        tensor = unread.pop(name)
         rank = r.unpack("<B", f"rank of {name}")
+        extents_offset = r.pos
         shape = tuple(r.unpack("<Q", f"extent of {name}") for _ in range(rank))
-        count = 1
-        for extent in shape:
-            count *= extent
-        raw = r.take(4 * count, f"values of {name}")
-        params.append((name, np.frombuffer(raw, dtype="<f4").reshape(shape).copy()))
+        if shape != tensor.data.shape:
+            raise FormatError(f"parameter {name} has shape {shape}, "
+                              f"model expects {tensor.data.shape}", offset=extents_offset)
+        raw = r.take(4 * tensor.data.size, f"values of {name}")
+        tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(tensor.data.dtype)
 
-    if r.remaining:
-        raise FormatError(f"{r.remaining} trailing bytes", offset=r.pos)
-    return Checkpoint(config, params, seed, epoch)
-
-
-def model_from_checkpoint(checkpoint: Checkpoint) -> Model:
-    """Rebuild the model and overwrite its freshly drawn values in place."""
-    model = build(checkpoint.config, Prng(checkpoint.seed))
-    stored = dict(checkpoint.params)
-    for name, tensor in model.named_parameters():
-        if name not in stored:
-            raise FormatError(f"checkpoint is missing parameter {name}")
-        arr = stored.pop(name)
-        if arr.shape != tensor.data.shape:
-            raise FormatError(
-                f"parameter {name} has shape {arr.shape}, model expects {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype, copy=True)
-    if stored:
-        raise FormatError(f"checkpoint has unexpected parameters {sorted(stored)}")
-    return model
+    if r.pos < len(r.buf):
+        raise FormatError(f"{len(r.buf) - r.pos} trailing bytes", offset=r.pos)
+    if unread:
+        raise FormatError(f"checkpoint is missing parameters {list(unread)}", offset=r.pos)
+    return Checkpoint(model, seed, epoch)

@@ -181,8 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    snapshot = ckpt.load_checkpoint(args.checkpoint)
-    model = ckpt.model_from_checkpoint(snapshot)
+    model = ckpt.load_checkpoint(args.checkpoint).model
     dataset = container.import_dataset(args.data)
     check_data(model.config, (dataset.samples, dataset.labels), args.data)
     if len(dataset) == 0:

@@ -183,9 +183,12 @@ def read_edf(path) -> EdfRecording:
 
 def _field_bytes(value, width: int, name: str) -> bytes:
     """A header field: text as given, numbers as integers where exact, else 6 digits."""
-    if not isinstance(value, str):
-        value = str(int(value)) if float(value) == int(value) else f"{value:.6g}"
-    encoded = value.encode("ascii")
+    try:
+        if not isinstance(value, str):
+            value = str(int(value)) if float(value) == int(value) else f"{value:.6g}"
+        encoded = value.encode("ascii")
+    except (ValueError, OverflowError) as exc:  # a non-finite number, or text not ASCII
+        raise DataError(f"{_what(name)} {value!r} cannot be written: {exc}") from None
     if len(encoded) > width:
         raise DataError(f"{_what(name)} {value!r} does not fit in {width} bytes")
     return encoded.ljust(width)

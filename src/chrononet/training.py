@@ -263,15 +263,11 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
             log(row)
         if best_checkpoint_path is not None and test_acc >= best_acc:
             best_acc = test_acc
-            _write_checkpoint(best_checkpoint_path, model, cfg.seed, epoch)
+            ckpt.save_checkpoint(best_checkpoint_path, ckpt.Checkpoint(model, cfg.seed, epoch))
 
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, model, cfg.seed, cfg.epochs - 1)
+        ckpt.save_checkpoint(checkpoint_path, ckpt.Checkpoint(model, cfg.seed, cfg.epochs - 1))
     return history
-
-
-def _write_checkpoint(path, model: Model, seed: int, epoch: int) -> None:
-    ckpt.save_checkpoint(path, ckpt.Checkpoint.from_model(model, seed=seed, epoch=epoch))
 
 
 def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:

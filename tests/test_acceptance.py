@@ -276,11 +276,10 @@ def test_criterion_11_determinism_and_persistence(tmp_path, capsys):
 
     # (b) checkpoint round trip is bit-exact under forward
     snapshot = ckpt.load_checkpoint(tmp_path / "r1" / "model.cncp")
-    model = ckpt.model_from_checkpoint(snapshot)
+    model = snapshot.model
     again = tmp_path / "again.cncp"
-    ckpt.save_checkpoint(again, ckpt.Checkpoint.from_model(
-        model, seed=snapshot.seed, epoch=snapshot.epoch))
-    reloaded = ckpt.model_from_checkpoint(ckpt.load_checkpoint(again))
+    ckpt.save_checkpoint(again, snapshot)
+    reloaded = ckpt.load_checkpoint(again).model
     x = np.random.default_rng(11).normal(size=(4, 2, 64)).astype(np.float32)
     forward_same = forward(model, x).data.tobytes() == \
         forward(reloaded, x).data.tobytes()

@@ -226,8 +226,7 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert len(lines) == 3
     snapshot = ckpt.load_checkpoint(tmp_path / "model.cncp")
     assert snapshot.epoch == 1
-    model = ckpt.model_from_checkpoint(snapshot)
-    assert model.config.input_channels == 2
+    assert snapshot.model.config.input_channels == 2
 
 
 def test_train_metrics_deterministic(tmp_path):
@@ -246,11 +245,32 @@ def test_train_lr_zero_leaves_parameters_at_init(tmp_path):
     data = synth_container(tmp_path)
     assert run_train(tmp_path, data, ["--lr", "0"]) == 0
     snapshot = ckpt.load_checkpoint(tmp_path / "model.cncp")
-    trained = ckpt.model_from_checkpoint(snapshot)
-    fresh = build(snapshot.config, Prng(snapshot.seed))
+    trained = snapshot.model
+    fresh = build(trained.config, Prng(snapshot.seed))
     for (name, a), (_, b) in zip(trained.named_parameters(),
                                  fresh.named_parameters()):
         assert np.array_equal(a.data, b.data), name
+
+
+def test_train_grad_clip_caps_every_step(tmp_path, monkeypatch):
+    data = synth_container(tmp_path)
+    clip = training.clip_gradients
+    norms = []
+
+    def spy(grads, max_norm, sums=None):
+        assert max_norm == 0.01
+        assert sums == training._squared_sums(grads)  # this step's gradients
+        norms.append(clip(grads, max_norm, sums))
+        assert sum(training._squared_sums(grads).values()) ** 0.5 <= 0.01 * (1 + 1e-6)
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    assert run_train(tmp_path, data, ["--grad-clip", "0.01"]) == 0
+    assert len(norms) == 4  # 2 epochs of 16 samples in batches of 8
+    assert all(norm > 0.01 for norm in norms)
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_train_repeats_reports_spread(tmp_path, capsys):
@@ -355,7 +375,7 @@ def test_eval_corrupt_checkpoint_config_is_a_format_error(tmp_path, capsys):
     data = synth_container(tmp_path, per_class=2)
     path = tmp_path / "m.cncp"
     model = build(default_config("crnn", input_channels=2), Prng(0))
-    ckpt.save_checkpoint(path, ckpt.Checkpoint.from_model(model))
+    ckpt.save_checkpoint(path, ckpt.Checkpoint(model))
     path.write_bytes(path.read_bytes().replace(b"num_classes=2", b"num_classes=1"))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2

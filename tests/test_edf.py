@@ -246,3 +246,20 @@ def test_writer_rejects_ragged_input():
         recording_from_arrays([np.zeros(150)], ["A"], 100.0)  # 1.5 records
     with pytest.raises(DataError):
         recording_from_arrays([np.zeros(100)], ["A", "B"], 100.0)
+
+
+def test_writer_rejects_fields_it_cannot_encode(tmp_path):
+    def recording(label="A"):
+        return recording_from_arrays([np.zeros(100)], [label], 100.0)
+
+    no_ascii, nan_min, inf_duration, too_long = (recording("café"), recording(),
+                                                 recording(), recording("L" * 17))
+    nan_min.signals[0].physical_min = float("nan")
+    inf_duration.record_duration = float("inf")
+    for rec, message in ((no_ascii, "label 'café' cannot be written"),
+                         (nan_min, "physical min nan cannot be written"),
+                         (inf_duration, "record duration inf cannot be written"),
+                         (too_long, "label 'LLLLLLLLLLLLLLLLL' does not fit in 16 bytes")):
+        with pytest.raises(DataError, match=message):
+            write_edf(tmp_path / "x.edf", rec)
+    assert list(tmp_path.iterdir()) == []
