@@ -256,6 +256,18 @@ def _prepare_stage(stage: str, path, fn):
         raise DataError(f"{path}: {stage}: {exc}") from exc
 
 
+def _prepare_session(path, split: str, pairs) -> list[np.ndarray]:
+    """One session's windows. Each stage's input dies as soon as its output
+    exists, so at most two stages' data are alive at once, and nothing but
+    the windows outlives the call."""
+    session = _prepare_stage("read_edf", path, lambda: read_edf(path))
+    session = _prepare_stage("apply_montage", path,
+                             lambda: montage.apply_montage(session, pairs))
+    session = _prepare_stage("resample", path, lambda: preprocess.resample_recording(session))
+    return _prepare_stage("extract_windows", path,
+                          lambda: preprocess.extract_windows(session, split))
+
+
 def cmd_prepare(args) -> int:
     entries = container.read_manifest(args.manifest)
     if not entries:
@@ -267,11 +279,7 @@ def cmd_prepare(args) -> int:
     patients = {"train": [], "test": []}
     for entry in entries:
         path = os.path.join(args.edf_dir, entry.path)  # an absolute entry.path wins
-        rec = _prepare_stage("read_edf", path, lambda p=path: read_edf(p))
-        sig = _prepare_stage("apply_montage", path, lambda r=rec: montage.apply_montage(r, pairs))
-        sig = _prepare_stage("resample", path, lambda s=sig: preprocess.resample_recording(s))
-        cut = _prepare_stage("extract_windows", path,
-                             lambda s=sig, e=entry: preprocess.extract_windows(s, e.split))
+        cut = _prepare_session(path, entry.split, pairs)
         windows[entry.split].extend(cut)
         labels[entry.split].extend([entry.label] * len(cut))
         patients[entry.split].extend([entry.patient_id] * len(cut))

@@ -96,24 +96,29 @@ def export_dataset(path, dataset: Dataset) -> None:
 
 
 def import_dataset(path) -> Dataset:
+    """Each record is read straight into its slot of the samples array, so
+    the file's payload is held once."""
+    header = 4 + struct.calcsize("<IQII")
     with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 4 or buf[:4] != MAGIC:
-        raise FormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", offset=0)
-    header = struct.calcsize("<IQII")
-    if len(buf) < 4 + header:
-        raise FormatError("truncated header", offset=len(buf))
-    version, n, channels, length = struct.unpack_from("<IQII", buf, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    dtype = _record_dtype(channels, length)
-    expected = 4 + header + dtype.itemsize * n
-    if len(buf) != expected:
-        raise FormatError(f"expected {expected} bytes for {n} samples, file has {len(buf)}",
-                          offset=min(len(buf), expected))
-    records = np.frombuffer(buf, dtype=dtype, count=n, offset=4 + header)
-    samples = np.array(records["x"], dtype=np.float32, order="C")
-    labels = records["label"].astype(np.int64)
+        head = f.read(header)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}", offset=0)
+        if len(head) < header:
+            raise FormatError("truncated header", offset=len(head))
+        version, n, channels, length = struct.unpack_from("<IQII", head, 4)
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        size = os.fstat(f.fileno()).st_size
+        expected = header + _record_dtype(channels, length).itemsize * n
+        if size != expected:
+            raise FormatError(f"expected {expected} bytes for {n} samples, file has {size}",
+                              offset=min(size, expected))
+        samples = np.empty((n, channels, length), dtype="<f4")
+        labels = np.empty((n, 1), dtype="<u2")
+        for label, x in zip(labels, samples):
+            f.readinto(label)
+            f.readinto(x)
+    labels = labels[:, 0].astype(np.int64)
 
     groups = None
     gpath = groups_path(path)

@@ -95,10 +95,14 @@ def _find_signal(rec: EdfRecording, electrode: str) -> int:
 
 
 def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recording:
-    """Each output channel is anode minus cathode, in montage order."""
+    """Each output channel is anode minus cathode, in montage order.
+
+    Every pair is checked before any sample is written; the differences then
+    go straight into one (pairs, samples) array.
+    """
     if montage is None:
         montage = default_montage()
-    rows = []
+    operands = []
     rate = None
     for pair in montage.pairs:
         ai = _find_signal(rec, pair.anode)
@@ -114,6 +118,9 @@ def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recor
         elif pair_rate != rate:
             raise DataError(
                 f"channel {pair.name}: rate {pair_rate} Hz differs from montage rate {rate} Hz")
-        rows.append(a.samples - c.samples)
-    return Recording(data=np.stack(rows), rate=float(rate),
+        operands.append((a.samples, c.samples))
+    data = np.empty((len(operands), operands[0][0].shape[0]))
+    for row, (anode, cathode) in zip(data, operands):
+        np.subtract(anode, cathode, out=row)
+    return Recording(data=data, rate=float(rate),
                      patient_id=rec.patient_id, session_id=rec.recording_id)

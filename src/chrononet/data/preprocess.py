@@ -29,31 +29,33 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
 
     Downsampling low-passes at 0.45*to_hz first (group delay compensated by
     trimming half the filter), then linearly interpolates; upsampling
-    interpolates directly. Output length is floor(n*to_hz/from_hz).
+    interpolates directly. Output length is floor(n*to_hz/from_hz). Each row
+    is written straight into the one output array.
     """
     if from_hz <= 0 or to_hz <= 0:
         raise ContractError(f"rates must be positive, got {from_hz} -> {to_hz}")
     signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape[-1] == 0:  # none in, none out: np.convolve rejects empty input
-        return signal.copy()
-    if signal.ndim == 1:
-        return _resample_1d(signal, from_hz, to_hz)
-    return np.stack([_resample_1d(row, from_hz, to_hz)
-                     for row in signal.reshape(-1, signal.shape[-1])]
-                    ).reshape(signal.shape[:-1] + (-1,))
-
-
-def _resample_1d(x: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
-    if from_hz == to_hz:
-        return x.copy()
-    n = x.shape[0]
+    n = signal.shape[-1]
     out_n = math.floor(n * to_hz / from_hz + 1e-9)
+    rows = signal.reshape(math.prod(signal.shape[:-1]), n)
+    out = np.empty((rows.shape[0], out_n))
+    if n:  # none in, none out: np.convolve rejects empty input
+        for row, dst in zip(rows, out):
+            _resample_row(row, from_hz, to_hz, dst)
+    return out.reshape(signal.shape[:-1] + (out_n,))
+
+
+def _resample_row(x: np.ndarray, from_hz: float, to_hz: float, out: np.ndarray) -> None:
+    if from_hz == to_hz:
+        out[:] = x
+        return
+    n = x.shape[0]
     if to_hz < from_hz:
         taps = _lowpass_taps(0.45 * to_hz, from_hz)
         half = (FIR_TAPS - 1) // 2
         x = np.convolve(x, taps, mode="full")[half:half + n]
-    positions = np.arange(out_n) * (from_hz / to_hz)
-    return np.interp(positions, np.arange(n), x)
+    positions = np.arange(out.shape[0]) * (from_hz / to_hz)
+    out[:] = np.interp(positions, np.arange(n), x)
 
 
 def resample_recording(rec: Recording, to_hz: float = TARGET_HZ) -> Recording:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -530,6 +532,32 @@ def test_prepare_window_counts(tmp_path, capsys):
     # training windows are z-scored by their own stats
     assert np.allclose(train.samples.mean(axis=(0, 2)), 0.0, atol=1e-4)
     assert np.allclose(train.samples.std(axis=(0, 2)), 1.0, atol=1e-3)
+
+
+def test_prepare_holds_one_session_at_a_time(tmp_path, capsys):
+    edf_dir = tmp_path / "edf"
+    edf_dir.mkdir()
+    for seed, (name, seconds, rate) in enumerate((("a", 240, 256.0), ("b", 240, 512.0),
+                                                  ("c", 90, 512.0))):
+        write_session(edf_dir / f"{name}.edf", seconds, rate=rate, seed=seed)
+    manifest = tmp_path / "sessions.csv"
+    manifest.write_text("path,label,patient_id,split\n"
+                        "a.edf,normal,pa,train\n"
+                        "b.edf,abnormal,pb,train\n"
+                        "c.edf,abnormal,pc,test\n")
+    tracemalloc.start()
+    try:
+        code = main(["prepare", "--edf-dir", str(edf_dir),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "set")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "train windows: 8" in capsys.readouterr().out
+    # The 512 Hz train session's float64 recording, then its montage: the
+    # previous session's arrays and any list of rows are gone by then.
+    recording = len(ELECTRODES) * 512 * 240 * 8
+    assert peak < 2.75 * recording
 
 
 def test_prepare_without_test_windows_removes_stale_test_split(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_empty_dataset_round_trip(tmp_path):
     loaded = import_dataset(path)
     assert len(loaded) == 0
     assert loaded.samples.shape == (0, 3, 8)
+
+
+def test_import_holds_one_copy_of_the_payload(tmp_path):
+    ds = sample_dataset(n=40, channels=22, length=1500)
+    path = tmp_path / "big.cnds"
+    export_dataset(path, ds)
+    tracemalloc.start()
+    try:
+        loaded = import_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.samples.tobytes() == ds.samples.tobytes()
+    assert peak < 1.1 * ds.samples.nbytes
 
 
 # ---------------------------------------------------------------------------

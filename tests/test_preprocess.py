@@ -59,6 +59,8 @@ def test_resample_output_length_law():
 def test_resample_empty_signal_gives_empty_output():
     assert resample(np.zeros((22, 0)), 512.0, 250.0).shape == (22, 0)
     assert resample(np.zeros(0), 512.0, 250.0).shape == (0,)
+    # no rows: the output length still follows the length law
+    assert resample(np.zeros((0, 1024)), 512.0, 250.0).shape == (0, 500)
 
 
 def test_resample_upsampling_interpolates():
@@ -75,6 +77,14 @@ def test_resample_multichannel_matches_per_row():
     assert joint.shape == (3, 250)
     for c in range(3):
         assert np.allclose(joint[c], resample(x[c], 400.0, 250.0))
+
+
+def test_resample_multichannel_rows_are_bitwise_per_row_calls():
+    x = np.random.default_rng(2).normal(scale=40.0, size=(4, 3000))
+    for from_hz in (512.0, 256.0):
+        joint = resample(x, from_hz, 250.0)
+        for row, c in zip(joint, x):
+            assert np.array_equal(row, resample(c, from_hz, 250.0))
 
 
 def test_resample_rejects_bad_rates():
@@ -273,6 +283,16 @@ def test_apply_montage_differences(tmp_path):
     m = default_montage()
     for row, pair in zip(out.data, m.pairs):
         assert np.allclose(row, by_token[pair.anode] - by_token[pair.cathode])
+
+
+def test_apply_montage_rows_are_bitwise_differences(tmp_path):
+    rec = electrode_edf(tmp_path, rate=512.0)
+    samples = {sig.label: sig.samples for sig in rec.signals}
+    out = apply_montage(rec)
+    for row, pair in zip(out.data, default_montage().pairs):
+        anode = samples[f"EEG {pair.anode}-REF"]
+        cathode = samples[f"EEG {pair.cathode}-REF"]
+        assert np.array_equal(row, anode - cathode)
 
 
 def test_montage_token_matching_is_exact(tmp_path):
