@@ -7,8 +7,9 @@ from chrononet.data.edf import recording_from_arrays
 from chrononet.data.montage import (MontageDef, MontagePair, Recording,
                                     apply_montage, default_montage,
                                     parse_montage)
-from chrononet.data.preprocess import (compute_stats, extract_windows, normalize,
-                                       resample, resample_recording)
+from chrononet.data.preprocess import (FIR_TAPS, _lowpass_taps, compute_stats,
+                                       extract_windows, normalize, resample,
+                                       resample_recording)
 from chrononet.errors import ConfigError, ContractError, DataError, FormatError
 
 
@@ -85,6 +86,49 @@ def test_resample_multichannel_rows_are_bitwise_per_row_calls():
         joint = resample(x, from_hz, 250.0)
         for row, c in zip(joint, x):
             assert np.array_equal(row, resample(c, from_hz, 250.0))
+
+
+def test_resample_matches_convolve_then_interp():
+    # The reference is direct convolution, trimmed by half the filter, then
+    # np.interp on the unit grid; the GEMM low-pass may differ by rounding only.
+    rng = np.random.default_rng(3)
+    half = (FIR_TAPS - 1) // 2
+    for from_hz in (512.0, 256.0, 400.0, 1000.0):
+        taps = _lowpass_taps(0.45 * 250.0, from_hz)
+        for n in (1, 10, 62, 63, 64, 65, 3000):
+            x = rng.normal(scale=40.0, size=n)
+            positions = np.arange(int(np.floor(n * 250.0 / from_hz + 1e-9))) * (from_hz / 250.0)
+            ref = np.interp(positions, np.arange(n),
+                            np.convolve(x, taps, mode="full")[half:half + n])
+            out = resample(x, from_hz, 250.0)
+            assert out.shape == ref.shape
+            if ref.size:
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(x))
+    # upsampling is np.interp itself, bit for bit, past the last sample too
+    past_end = 0
+    for from_hz in (100.0, 200.0):
+        for n in (1, 2, 10, 3000):
+            x = rng.normal(scale=40.0, size=n)
+            positions = np.arange(int(np.floor(n * 250.0 / from_hz + 1e-9))) * (from_hz / 250.0)
+            past_end += int(np.sum(positions > n - 1))
+            assert np.array_equal(resample(x, from_hz, 250.0),
+                                  np.interp(positions, np.arange(n), x))
+    assert past_end
+
+
+def test_resample_temporaries_are_per_row():
+    # Each row is filtered and interpolated through buffers reused across
+    # rows, so the temporaries stay a few rows long whatever the row count.
+    rng = np.random.default_rng(4)
+    for from_hz in (512.0, 256.0):
+        x = rng.normal(scale=40.0, size=(22, int(720 * from_hz)))
+        tracemalloc.start()
+        try:
+            out = resample(x, from_hz, 250.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 12 * x[0].nbytes
 
 
 def test_resample_rejects_bad_rates():
