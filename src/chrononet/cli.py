@@ -257,10 +257,12 @@ def _prepare_stage(stage: str, path, fn):
 
 
 def _prepare_session(path, split: str, pairs) -> list[np.ndarray]:
-    """One session's windows. Each stage's input dies as soon as its output
-    exists, so at most two stages' data are alive at once, and nothing but
-    the windows outlives the call."""
+    """One session's windows. The recording is cut to the records its
+    windows read before anything is converted. Each stage's input dies as
+    soon as its output exists, so at most two stages' data are alive at
+    once, and nothing but the windows outlives the call."""
     session = _prepare_stage("read_edf", path, lambda: read_edf(path))
+    session = preprocess.cut_to_windows(session, split)
     session = _prepare_stage("apply_montage", path,
                              lambda: montage.apply_montage(session, pairs))
     session = _prepare_stage("resample", path, lambda: preprocess.resample_recording(session))

@@ -26,6 +26,7 @@ from ..errors import DataError, FormatError
 MAGIC = b"CNDS"
 VERSION = 1
 STATS_FLAG = 2
+LABEL_MAX = 0xFFFF  # a record's label is a u16
 
 
 @dataclass
@@ -76,7 +77,7 @@ def _record_dtype(channels: int, length: int) -> np.dtype:
 
 def export_dataset(path, dataset: Dataset) -> None:
     n, channels, length = dataset.samples.shape
-    if dataset.labels.size and (dataset.labels.min() < 0 or dataset.labels.max() > 0xFFFF):
+    if dataset.labels.size and (dataset.labels.min() < 0 or dataset.labels.max() > LABEL_MAX):
         raise DataError("labels must fit an unsigned 16-bit field")
     records = np.empty(n, dtype=_record_dtype(channels, length))
     records["label"] = dataset.labels
@@ -183,8 +184,9 @@ def read_manifest(path) -> list[ManifestEntry]:
                     raise DataError(f"manifest line {lineno}: label must be "
                                     f"normal/abnormal or a class index, got {label_text!r}") \
                         from None
-                if label < 0:
-                    raise DataError(f"manifest line {lineno}: class index must be >= 0")
+                if not 0 <= label <= LABEL_MAX:
+                    raise DataError(f"manifest line {lineno}: class index must be in "
+                                    f"[0, {LABEL_MAX}], got {label}")
             if split not in ("train", "test"):
                 raise DataError(f"manifest line {lineno}: split must be train or test, "
                                 f"got {split!r}")

@@ -6,6 +6,10 @@ little-endian int16 samples. Annotations and discontinuous files are out of
 scope. Both headers are read and written from one field table each. The
 writer lets tests round-trip real byte layouts and builds the benchmark's
 EDF corpus.
+
+Each signal keeps the file's int16 values; its physical values are
+converted from them on each access, so a recording costs its file size, not
+four times that in float64.
 """
 
 import math
@@ -60,11 +64,17 @@ class EdfSignal:
     digital_min: int
     digital_max: int
     samples_per_record: int
-    samples: np.ndarray  # physical values, float64
+    digital: np.ndarray  # the file's int16 values
 
     @property
     def scale(self) -> float:
         return (self.physical_max - self.physical_min) / (self.digital_max - self.digital_min)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Physical values as a new float64 array, converted on every access."""
+        return digital_to_physical(self.digital, self.physical_min, self.physical_max,
+                                   self.digital_min, self.digital_max)
 
 
 @dataclass
@@ -82,8 +92,14 @@ class EdfRecording:
 
 
 def digital_to_physical(d, physical_min, physical_max, digital_min, digital_max):
+    """physical_min + (d - digital_min) * scale, bit for bit, computed in place
+    in the one float64 array it returns."""
     scale = (physical_max - physical_min) / (digital_max - digital_min)
-    return physical_min + (np.asarray(d, dtype=np.float64) - digital_min) * scale
+    x = np.array(d, dtype=np.float64)
+    x -= digital_min
+    x *= scale
+    x += physical_min
+    return x
 
 
 def _what(name: str) -> str:
@@ -142,8 +158,8 @@ def read_edf(path) -> EdfRecording:
         raise FormatError(f"file ends inside the signal headers ({ns} signals declared)",
                           offset=len(buf))
 
-    # samples are filled in once the data records are checked
-    rec.signals = [EdfSignal(**fields, samples=None)
+    # the digital values are filled in once the data records are checked
+    rec.signals = [EdfSignal(**fields, digital=None)
                    for fields in _read_block(buf, _SIGNAL_FIELDS, HEADER_SIZE, ns)]
     for i, sig in enumerate(rec.signals):
         def at(name):
@@ -172,10 +188,8 @@ def read_edf(path) -> EdfRecording:
     table = raw.reshape(rec.record_count, record_words)
     col = 0
     for sig in rec.signals:
-        digital = table[:, col:col + sig.samples_per_record].reshape(-1)
+        sig.digital = table[:, col:col + sig.samples_per_record].reshape(-1)
         col += sig.samples_per_record
-        sig.samples = digital_to_physical(digital, sig.physical_min, sig.physical_max,
-                                          sig.digital_min, sig.digital_max)
     rec.start_date = rec.start_date or "01.01.01"
     rec.start_time = rec.start_time or "00.00.00"
     return rec
@@ -198,10 +212,14 @@ def write_edf(path, rec: EdfRecording) -> None:
     ns = len(rec.signals)
     for sig in rec.signals:
         expected = rec.record_count * sig.samples_per_record
-        if sig.samples.shape != (expected,):
+        if sig.digital.shape != (expected,):
             raise DataError(
-                f"signal {sig.label!r} has {sig.samples.shape[0]} samples, "
+                f"signal {sig.label!r} has {sig.digital.shape[0]} samples, "
                 f"expected {expected} ({rec.record_count} records x {sig.samples_per_record})")
+        if expected and not (sig.digital_min <= sig.digital.min()
+                             and sig.digital.max() <= sig.digital_max):
+            raise DataError(f"signal {sig.label!r} has digital values outside "
+                            f"[{sig.digital_min}, {sig.digital_max}]")
 
     # fields neither class holds are written as these values, or blank
     head = {**vars(rec), "version": "0", "signal_count": ns,
@@ -210,11 +228,7 @@ def write_edf(path, rec: EdfRecording) -> None:
     parts += [_field_bytes(getattr(sig, name, ""), width, name)
               for name, width, _ in _SIGNAL_FIELDS for sig in rec.signals]
 
-    digitals = []
-    for sig in rec.signals:
-        d = np.rint((sig.samples - sig.physical_min) / sig.scale) + sig.digital_min
-        digitals.append(np.clip(d, sig.digital_min, sig.digital_max).astype("<i2"))
-
+    digitals = [sig.digital.astype("<i2", copy=False) for sig in rec.signals]
     records = []
     for r in range(rec.record_count):
         for sig, d in zip(rec.signals, digitals):
@@ -245,13 +259,19 @@ def recording_from_arrays(arrays, labels, rate_hz: float, patient_id: str = "X",
         raise DataError("all channels must have equal length")
     if n % spr:
         raise DataError(f"length {n} is not a whole number of 1 s records at {rate_hz} Hz")
-    signals = [
-        EdfSignal(label=label, physical_dimension=physical_dimension,
-                  physical_min=-physical_range, physical_max=physical_range,
-                  digital_min=-32767, digital_max=32767,
-                  samples_per_record=spr, samples=arr)
-        for arr, label in zip(arrays, labels)
-    ]
+    signals = []
+    for arr, label in zip(arrays, labels):
+        sig = EdfSignal(label=label, physical_dimension=physical_dimension,
+                        physical_min=-physical_range, physical_max=physical_range,
+                        digital_min=-32767, digital_max=32767,
+                        samples_per_record=spr, digital=None)
+        d = arr - sig.physical_min  # round((x - physical_min) / scale) + digital_min
+        d /= sig.scale
+        np.rint(d, out=d)
+        d += sig.digital_min
+        np.clip(d, sig.digital_min, sig.digital_max, out=d)
+        sig.digital = d.astype("<i2")
+        signals.append(sig)
     return EdfRecording(patient_id=patient_id, recording_id=recording_id,
                         start_date="01.01.01", start_time="00.00.00",
                         record_count=n // spr, record_duration=1.0, signals=signals)

@@ -98,7 +98,9 @@ def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recor
     """Each output channel is anode minus cathode, in montage order.
 
     Every pair is checked before any sample is written; the differences then
-    go straight into one (pairs, samples) array.
+    go straight into one (pairs, samples) array. Each electrode is converted
+    to physical values when the first pair that reads it comes up and dropped
+    after the last one, so only a few electrodes are held at a time.
     """
     if montage is None:
         montage = default_montage()
@@ -118,9 +120,17 @@ def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recor
         elif pair_rate != rate:
             raise DataError(
                 f"channel {pair.name}: rate {pair_rate} Hz differs from montage rate {rate} Hz")
-        operands.append((a.samples, c.samples))
-    data = np.empty((len(operands), operands[0][0].shape[0]))
-    for row, (anode, cathode) in zip(data, operands):
-        np.subtract(anode, cathode, out=row)
+        operands.append((ai, ci))
+    last_read = {i: row for row, pair in enumerate(operands) for i in pair}
+    live = {}
+    data = np.empty((len(operands), rec.signals[operands[0][0]].digital.shape[0]))
+    for row, (ai, ci) in enumerate(operands):
+        for i in (ai, ci):
+            if i not in live:
+                live[i] = rec.signals[i].samples
+        np.subtract(live[ai], live[ci], out=data[row])
+        for i in (ai, ci):
+            if last_read[i] == row:
+                live.pop(i, None)  # None: an electrode paired with itself
     return Recording(data=data, rate=float(rate),
                      patient_id=rec.patient_id, session_id=rec.recording_id)

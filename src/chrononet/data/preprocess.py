@@ -1,13 +1,16 @@
 """Rate conversion, minute windowing, and z-score normalization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DataError
+from .edf import EdfRecording
 from .montage import Recording
 
 FIR_TAPS = 63
+FIR_HALF = (FIR_TAPS - 1) // 2  # input samples the filter reads on each side
 FIR_BLOCK = 64           # filter outputs per GEMM row, >= FIR_TAPS - 1 so each
                          # reads two input rows; 96 and 128 measured no faster
 TARGET_HZ = 250.0        # the one rate every recording is windowed at
@@ -36,6 +39,11 @@ def _toeplitz_halves(taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t[:FIR_BLOCK], t[FIR_BLOCK:]
 
 
+def resampled_length(n: int, from_hz: float, to_hz: float = TARGET_HZ) -> int:
+    """Samples `resample` makes from n: floor(n*to_hz/from_hz), forgiving rounding."""
+    return math.floor(n * to_hz / from_hz + 1e-9)
+
+
 def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np.ndarray:
     """Convert the last axis of `signal` onto a uniform to_hz grid.
 
@@ -53,7 +61,7 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
         raise ContractError(f"rates must be positive, got {from_hz} -> {to_hz}")
     signal = np.asarray(signal, dtype=np.float64)
     n = signal.shape[-1]
-    out_n = math.floor(n * to_hz / from_hz + 1e-9)
+    out_n = resampled_length(n, from_hz, to_hz)
     rows = signal.reshape(math.prod(signal.shape[:-1]), n)
     out = np.empty((rows.shape[0], out_n))
     if from_hz == to_hz:
@@ -68,7 +76,6 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
         lowpass = to_hz < from_hz
         if lowpass:
             t0, t1 = _toeplitz_halves(_lowpass_taps(0.45 * to_hz, from_hz))
-            half = (FIR_TAPS - 1) // 2
             blocks = -(-n // FIR_BLOCK)
             padded = np.zeros((blocks + 1) * FIR_BLOCK)
             x = padded.reshape(blocks + 1, FIR_BLOCK)
@@ -76,7 +83,7 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
             spill = np.empty((blocks, FIR_BLOCK))
         for row, dst in zip(rows, out):
             if lowpass:
-                padded[half:half + n] = row
+                padded[FIR_HALF:FIR_HALF + n] = row
                 np.matmul(x[:-1], t0, out=filtered)
                 filtered += np.matmul(x[1:], t1, out=spill)
                 row = filtered.reshape(-1)
@@ -95,6 +102,45 @@ def resample_recording(rec: Recording, to_hz: float = TARGET_HZ) -> Recording:
                      patient_id=rec.patient_id, session_id=rec.session_id)
 
 
+def window_count(samples: int, split: str) -> int:
+    """Windows a session of `samples` TARGET_HZ samples gives: up to
+    MAX_TRAIN_WINDOWS for train, TEST_WINDOWS for test, and never more than
+    the whole windows it holds."""
+    if split not in ("train", "test"):
+        raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+    cap = MAX_TRAIN_WINDOWS if split == "train" else TEST_WINDOWS
+    return min(cap, samples // WINDOW_SAMPLES)
+
+
+def cut_to_windows(rec: EdfRecording, split: str) -> EdfRecording:
+    """The leading data records that the session's windows read.
+
+    Per signal, the last sample of the last window sits at input position
+    p; `resample` reads up to sample floor(p) + 1 to interpolate, and the
+    filter FIR_HALF samples past that. Enough samples are kept for both, and
+    for the resampled length to hold every window, so the windows come out
+    bit for bit as from the whole recording. The signals are views of the
+    recording's. A session that gives no window is returned whole, so its
+    error is the same as without the cut.
+    """
+    keep = 0
+    for i, sig in enumerate(rec.signals):
+        n = sig.digital.shape[0]
+        rate = rec.rate(i)
+        count = window_count(resampled_length(n, rate), split)
+        if not count:
+            return rec
+        kept = count * WINDOW_SAMPLES
+        last = int((kept - 1) * (rate / TARGET_HZ))  # as `resample` places it
+        need = max(last + 2 + FIR_HALF, math.ceil(kept * rate / TARGET_HZ))
+        keep = max(keep, -(-need // sig.samples_per_record))
+    if keep >= rec.record_count:
+        return rec
+    return replace(rec, record_count=keep, signals=[
+        replace(sig, digital=sig.digital[:keep * sig.samples_per_record])
+        for sig in rec.signals])
+
+
 def extract_windows(rec: Recording, split: str) -> list[np.ndarray]:
     """Cut consecutive non-overlapping windows starting at t=0.
 
@@ -102,20 +148,14 @@ def extract_windows(rec: Recording, split: str) -> list[np.ndarray]:
     TEST_WINDOWS (the first minute) and must therefore be at least one window
     long.
     """
-    if split not in ("train", "test"):
-        raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+    count = window_count(rec.samples, split)
     if abs(rec.rate - TARGET_HZ) > 1e-6:
         raise DataError(f"session {rec.session_id!r}: sampled at {rec.rate} Hz, "
                         f"windowing requires {TARGET_HZ} Hz")
+    if split == "test" and count < TEST_WINDOWS:
+        raise DataError(f"session {rec.session_id!r}: {rec.duration:.1f} s is shorter "
+                        f"than one {WINDOW_SECONDS} s test window")
     w = WINDOW_SAMPLES
-    full = rec.samples // w
-    if split == "test":
-        if full < 1:
-            raise DataError(f"session {rec.session_id!r}: {rec.duration:.1f} s is shorter "
-                            f"than one {WINDOW_SECONDS} s test window")
-        count = TEST_WINDOWS
-    else:
-        count = min(MAX_TRAIN_WINDOWS, full)
     return [rec.data[:, i * w:(i + 1) * w].astype(np.float32) for i in range(count)]
 
 

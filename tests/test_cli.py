@@ -534,10 +534,12 @@ def test_prepare_window_counts(tmp_path, capsys):
     assert np.allclose(train.samples.std(axis=(0, 2)), 1.0, atol=1e-3)
 
 
-def test_prepare_holds_one_session_at_a_time(tmp_path, capsys):
+def traced_prepare(tmp_path, capsys, b_seconds=240):
+    """Traced peak of prepare over a 256 Hz 240 s train session, a 512 Hz
+    train session of b_seconds and a 512 Hz 90 s test session."""
     edf_dir = tmp_path / "edf"
-    edf_dir.mkdir()
-    for seed, (name, seconds, rate) in enumerate((("a", 240, 256.0), ("b", 240, 512.0),
+    edf_dir.mkdir(parents=True)
+    for seed, (name, seconds, rate) in enumerate((("a", 240, 256.0), ("b", b_seconds, 512.0),
                                                   ("c", 90, 512.0))):
         write_session(edf_dir / f"{name}.edf", seconds, rate=rate, seed=seed)
     manifest = tmp_path / "sessions.csv"
@@ -553,11 +555,27 @@ def test_prepare_holds_one_session_at_a_time(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert "train windows: 8" in capsys.readouterr().out
-    # The 512 Hz train session's float64 recording, then its montage: the
-    # previous session's arrays and any list of rows are gone by then.
+    windows = 4 + min(11, b_seconds // 60)
+    assert f"train windows: {windows}" in capsys.readouterr().out
+    return peak
+
+
+def test_prepare_holds_one_session_at_a_time(tmp_path, capsys):
+    peak = traced_prepare(tmp_path, capsys)
+    # The 512 Hz train session's montage and resampled rows, next to the
+    # windows kept so far: the previous session's arrays and any list of
+    # rows are gone by then.
     recording = len(ELECTRODES) * 512 * 240 * 8
-    assert peak < 2.75 * recording
+    assert peak < 2.5 * recording
+
+
+def test_prepare_peak_is_flat_in_recording_length(tmp_path, capsys):
+    # Past its eleventh window a train session adds only its EDF bytes: the
+    # records no window reads are never converted, montaged or resampled.
+    short = traced_prepare(tmp_path / "short", capsys, b_seconds=720)
+    long = traced_prepare(tmp_path / "long", capsys, b_seconds=1440)
+    extra_edf_bytes = len(ELECTRODES) * 512 * (1440 - 720) * 2
+    assert long - short <= extra_edf_bytes
 
 
 def test_prepare_without_test_windows_removes_stale_test_split(tmp_path, capsys):

@@ -239,6 +239,12 @@ def test_manifest_bad_label(tmp_path):
     path = write_manifest(tmp_path, "a.edf,-2,p1,train\n", name="neg.csv")
     with pytest.raises(DataError, match="class index"):
         read_manifest(path)
+    # a record's label is a u16: a larger index fails at its line, not after
+    # every session has been prepared
+    path = write_manifest(tmp_path, "a.edf,65535,p1,train\nb.edf,70000,p2,train\n",
+                          name="wide.csv")
+    with pytest.raises(DataError, match="manifest line 3: class index .* 70000"):
+        read_manifest(path)
 
 
 def test_manifest_bad_split(tmp_path):

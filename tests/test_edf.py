@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ def test_scaling_formula_value():
     assert v == pytest.approx(0.015259021896696368, abs=1e-12)
 
 
+def test_conversion_is_one_array_bitwise_equal_to_the_formula():
+    rng = np.random.default_rng(3)
+    d = rng.integers(-32768, 32768, size=200_000).astype(np.int16)
+    for r in ((-1000.0, 1000.0, -32767, 32767), (-3276.8, 3276.7, -32768, 32767),
+              (0.0, 5.5, -7, 2047), (-2.5, -0.25, -100, 100)):
+        scale = (r[1] - r[0]) / (r[3] - r[2])
+        expected = r[0] + (np.asarray(d, dtype=np.float64) - r[2]) * scale
+        tracemalloc.start()
+        try:
+            out = digital_to_physical(d, *r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == expected.tobytes()
+        assert peak < 1.05 * out.nbytes
+    physical = np.linspace(-1.0, 1.0, 7)
+    digital_to_physical(physical, -1.0, 1.0, -1, 1)
+    assert np.array_equal(physical, np.linspace(-1.0, 1.0, 7))  # input untouched
+
+
 def test_scaling_monotone_and_affine():
     d = np.arange(-2048, 2048)
     p = digital_to_physical(d, -500.0, 500.0, -2048, 2047)
@@ -47,9 +68,10 @@ def test_scaling_monotone_and_affine():
 
 
 def test_bytes_follow_documented_layout(tmp_path):
-    digital = [np.array([-2048, 0, 2047, 5, -7, 100]), np.array([-100, 100, 0, 1])]
+    digital = [np.array([-2048, 0, 2047, 5, -7, 100], dtype=np.int16),
+               np.array([-100, 100, 0, 1], dtype=np.int16)]
     ranges = [(-500.0, 500.0, -2048, 2047), (-2.5, 2.5, -100, 100)]
-    signals = [EdfSignal(label, dim, *r, spr, digital_to_physical(d, *r))
+    signals = [EdfSignal(label, dim, *r, spr, d)
                for label, dim, r, spr, d in zip(("EEG A-REF", "EEG B-REF"), ("uV", "mV"),
                                                 ranges, (3, 2), digital)]
     rec = EdfRecording("P 7", "R 9", "02.03.04", "05.06.07", 2, 0.5, signals)
@@ -76,9 +98,10 @@ def test_bytes_follow_documented_layout(tmp_path):
 
     loaded = read_edf(path)
     assert fields(loaded, "signals") == fields(rec, "signals")
-    for sig, original in zip(loaded.signals, signals):
-        assert fields(sig, "samples") == fields(original, "samples")
-        assert sig.samples.tobytes() == original.samples.tobytes()
+    for sig, original, r in zip(loaded.signals, signals, ranges):
+        assert fields(sig, "digital") == fields(original, "digital")
+        assert sig.digital.tobytes() == original.digital.tobytes()
+        assert sig.samples.tobytes() == digital_to_physical(original.digital, *r).tobytes()
 
 
 def test_round_trip_within_one_quantum(tmp_path):
@@ -246,6 +269,22 @@ def test_writer_rejects_ragged_input():
         recording_from_arrays([np.zeros(150)], ["A"], 100.0)  # 1.5 records
     with pytest.raises(DataError):
         recording_from_arrays([np.zeros(100)], ["A", "B"], 100.0)
+
+
+def test_writer_checks_digital_values(tmp_path):
+    rec = recording_from_arrays([np.zeros(100)], ["A"], 100.0)
+    sig = rec.signals[0]
+    assert sig.digital.dtype == np.int16
+    with pytest.raises(AttributeError):
+        sig.samples = np.zeros(100)  # physical values are derived, never stored
+    sig.digital = sig.digital[:99]
+    with pytest.raises(DataError, match="99 samples, expected 100"):
+        write_edf(tmp_path / "short.edf", rec)
+    sig.digital = np.full(100, 10, dtype=np.int16)
+    sig.digital_max = 9
+    with pytest.raises(DataError, match=r"outside \[-32767, 9\]"):
+        write_edf(tmp_path / "wide.edf", rec)
+    assert not any(tmp_path.iterdir())
 
 
 def test_writer_rejects_fields_it_cannot_encode(tmp_path):

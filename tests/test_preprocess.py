@@ -1,15 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chrononet.data import edf
 from chrononet.data.edf import recording_from_arrays
 from chrononet.data.montage import (MontageDef, MontagePair, Recording,
                                     apply_montage, default_montage,
                                     parse_montage)
-from chrononet.data.preprocess import (FIR_TAPS, _lowpass_taps, compute_stats,
-                                       extract_windows, normalize, resample,
-                                       resample_recording)
+from chrononet.data.preprocess import (FIR_TAPS, WINDOW_SAMPLES, _lowpass_taps,
+                                       compute_stats, cut_to_windows, extract_windows,
+                                       normalize, resample, resample_recording)
 from chrononet.errors import ConfigError, ContractError, DataError, FormatError
 
 
@@ -150,6 +152,70 @@ def test_resample_recording_carries_ids():
 
 # ---------------------------------------------------------------------------
 # windowing
+
+
+def _windows_with_and_without_cut(rec, split, montage):
+    """The float64 samples the windows read, and the windows, from the whole
+    recording and from the cut one."""
+    out = []
+    for session in (rec, cut_to_windows(rec, split)):
+        resampled = resample_recording(apply_montage(session, montage))
+        windows = extract_windows(resampled, split)
+        out.append((resampled.data[:, :len(windows) * WINDOW_SAMPLES], windows, session))
+    return out
+
+
+def _one_sample_records(rec):
+    """The same samples in records of one sample each, so a cut is exact to
+    the sample rather than rounded up to a whole record."""
+    spr = rec.signals[0].samples_per_record
+    return replace(rec, record_count=rec.record_count * spr,
+                   record_duration=rec.record_duration / spr,
+                   signals=[replace(sig, samples_per_record=1) for sig in rec.signals])
+
+
+@pytest.mark.parametrize("rate", [250, 256, 400, 500, 512, 1000])
+def test_cut_leaves_windows_bitwise_equal(rate):
+    # Lengths at window edges: a window's last sample, one past it, and the
+    # eleventh train window with and without samples after it.
+    rng = np.random.default_rng(rate)
+    full = recording_from_arrays(rng.normal(scale=40.0, size=(2, 720 * rate)),
+                                 ["EEG A-REF", "EEG B-REF"], float(rate))
+    montage = MontageDef([MontagePair("A", "B", "A-B")])
+    for seconds in (60, 61, 90, 660, 661, 700, 720):
+        rec = replace(full, record_count=seconds, signals=[
+            replace(sig, digital=sig.digital[:seconds * rate]) for sig in full.signals])
+        for split in ("train", "test"):
+            count = min(11, seconds // 60) if split == "train" else 1
+            for records in (rec, _one_sample_records(rec)):
+                assert records.rate(0) == rate
+                (whole, whole_w, _), (cut, cut_w, session) = \
+                    _windows_with_and_without_cut(records, split, montage)
+                assert len(cut_w) == len(whole_w) == count
+                assert np.array_equal(cut, whole)
+                assert all(np.array_equal(a, b) for a, b in zip(cut_w, whole_w))
+                # the samples kept run just past the last window
+                assert session.record_count * session.signals[0].samples_per_record <= \
+                    min(seconds, 60 * count + 1) * rate
+
+
+def test_cut_keeps_enough_input_at_a_high_rate():
+    # At 16 kHz the filter's reach past the last kept position is under one
+    # output sample; the cut still keeps the samples that make the window.
+    rate = 16000
+    rng = np.random.default_rng(16)
+    rec = _one_sample_records(recording_from_arrays(
+        rng.normal(size=(2, 61 * rate)), ["EEG A-REF", "EEG B-REF"], float(rate)))
+    (whole, whole_w, _), (cut, cut_w, session) = _windows_with_and_without_cut(
+        rec, "test", MontageDef([MontagePair("A", "B", "A-B")]))
+    assert len(cut_w) == 1 and np.array_equal(cut, whole)
+    assert session.record_count == 60 * rate
+
+
+def test_cut_leaves_sessions_without_windows_whole():
+    rec = recording_from_arrays(np.zeros((2, 30 * 512)), ["EEG A-REF", "EEG B-REF"], 512.0)
+    for split in ("train", "test"):
+        assert cut_to_windows(rec, split) is rec
 
 
 def _minutes_recording(seconds, rate=250.0, channels=3):
@@ -339,6 +405,28 @@ def test_apply_montage_rows_are_bitwise_differences(tmp_path):
         assert np.array_equal(row, anode - cathode)
 
 
+def test_apply_montage_converts_each_electrode_once_and_holds_few(tmp_path, monkeypatch):
+    rec = electrode_edf(tmp_path, rate=512.0, seconds=240)
+    converted = []
+    real = edf.digital_to_physical
+
+    def counting(d, *args):
+        converted.append(d)
+        return real(d, *args)
+
+    monkeypatch.setattr(edf, "digital_to_physical", counting)
+    tracemalloc.start()
+    try:
+        out = apply_montage(rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(converted) == len(ELECTRODES)
+    # the output, plus at most eight electrodes that pairs still to come read
+    row = out.data[0].nbytes
+    assert peak < out.data.nbytes + 9 * row
+
+
 def test_montage_token_matching_is_exact(tmp_path):
     # P3 must not match FP3-like labels; T3 must not match T31
     from chrononet.data.edf import write_edf, read_edf
@@ -371,7 +459,7 @@ def test_montage_rate_mismatch(tmp_path):
     target = next(i for i, s in enumerate(rec.signals) if "F7" in s.label)
     sig = rec.signals[target]
     sig.samples_per_record //= 2
-    sig.samples = sig.samples[::2]
+    sig.digital = sig.digital[::2]
     with pytest.raises(DataError, match="rate"):
         apply_montage(rec, MontageDef([MontagePair("FP1", "F7", "FP1-F7")]))
 
