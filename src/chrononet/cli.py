@@ -41,7 +41,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _apply_config_file(args) -> None:
-    path = getattr(args, "config", None)
+    path = args.config
     if not path:
         return
     try:
@@ -329,7 +329,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a dataset container")
-    p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--data")
     p.add_argument("--test")
     p.add_argument("--checkpoint")
@@ -341,13 +340,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train, required_args=("data",))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset container")
-    p.add_argument("--config")
     p.add_argument("--checkpoint")
     p.add_argument("--data")
     p.set_defaults(func=cmd_eval, required_args=("checkpoint", "data"))
 
     p = sub.add_parser("cv", help="grouped k-fold cross-validation")
-    p.add_argument("--config")
     p.add_argument("--data")
     p.add_argument("--out")
     p.add_argument("--k", type=int)
@@ -357,13 +354,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_cv, required_args=("data",))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_gradcheck, required_args=())
 
     p = sub.add_parser("synth", help="generate a synthetic dataset container")
-    p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--classes", type=int)
     p.add_argument("--per-class", type=int, dest="per_class")
@@ -376,15 +371,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth, required_args=("out",))
 
     p = sub.add_parser("prepare", help="EDF sessions to normalized window containers")
-    p.add_argument("--config")
     p.add_argument("--edf-dir", dest="edf_dir")
     p.add_argument("--manifest")
     p.add_argument("--montage")
     p.add_argument("--out")
     p.set_defaults(func=cmd_prepare, required_args=("edf_dir", "manifest", "out"))
 
-    for p in sub.choices.values():  # the keys a --config file may set
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.dest not in ("help", "config")})
+    for p in sub.choices.values():  # the keys a --config file may set, then --config
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.dest != "help"})
+        p.add_argument("--config", help="key=value config file; flags override it")
     return parser
 
 

@@ -166,6 +166,7 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise FormatError(f"manifest header must be {','.join(MANIFEST_HEADER)!r}, "
                               f"got {','.join(header)!r}")
         entries = []
+        listed = {}  # normalised path -> the line that lists it
         for lineno, row in enumerate(reader, start=2):
             if not row or not any(field.strip() for field in row):
                 continue
@@ -174,6 +175,11 @@ def read_manifest(path) -> list[ManifestEntry]:
             file_path, label_text, patient, split = (field.strip() for field in row)
             if not patient:
                 raise DataError(f"manifest line {lineno}: patient_id must not be empty")
+            if "\n" in patient or "\r" in patient:  # the groups sidecar holds one id per line
+                raise DataError(f"manifest line {lineno}: patient_id {patient!r} has a line break")
+            first = listed.setdefault(os.path.normpath(file_path), lineno)
+            if first != lineno:
+                raise DataError(f"manifest line {lineno}: {file_path!r} is listed on line {first}")
             label_text = label_text.lower()
             if label_text in LABEL_NAMES:
                 label = LABEL_NAMES[label_text]

@@ -241,9 +241,9 @@ def write_edf(path, rec: EdfRecording) -> None:
 
 
 def recording_from_arrays(arrays, labels, rate_hz: float, patient_id: str = "X",
-                          recording_id: str = "X", physical_range: float = 1000.0,
-                          physical_dimension: str = "uV") -> EdfRecording:
-    """Package plain channel arrays as a 1-second-record EDF recording.
+                          recording_id: str = "X",
+                          physical_range: float = 1000.0) -> EdfRecording:
+    """Package plain microvolt channel arrays as a 1-second-record EDF recording.
 
     Array lengths must be a whole number of seconds at rate_hz. Digital range
     is the full int16 span, so quantization error is physical_range/32767.
@@ -261,7 +261,7 @@ def recording_from_arrays(arrays, labels, rate_hz: float, patient_id: str = "X",
         raise DataError(f"length {n} is not a whole number of 1 s records at {rate_hz} Hz")
     signals = []
     for arr, label in zip(arrays, labels):
-        sig = EdfSignal(label=label, physical_dimension=physical_dimension,
+        sig = EdfSignal(label=label, physical_dimension="uV",
                         physical_min=-physical_range, physical_max=physical_range,
                         digital_min=-32767, digital_max=32767,
                         samples_per_record=spr, digital=None)

@@ -2,7 +2,8 @@
 
 The default pair list is the 22-channel temporal central parasagittal
 (double banana) layout used for clinical EEG review, shipped as an editable
-text file so site-specific variants can be swapped in.
+text file so site-specific variants can be swapped in. A montage is a plain
+list of :class:`MontagePair`, in output channel order.
 """
 
 import re
@@ -23,25 +24,12 @@ class MontagePair:
 
 
 @dataclass
-class MontageDef:
-    pairs: list[MontagePair]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass
 class Recording:
     """Post-montage signal: channels x samples of microvolt values."""
 
     data: np.ndarray
     rate: float
-    patient_id: str
     session_id: str
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
 
     @property
     def samples(self) -> int:
@@ -52,7 +40,7 @@ class Recording:
         return self.samples / self.rate
 
 
-def parse_montage(text: str) -> MontageDef:
+def parse_montage(text: str) -> list[MontagePair]:
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -65,15 +53,15 @@ def parse_montage(text: str) -> MontageDef:
         pairs.append(MontagePair(*fields))
     if not pairs:
         raise FormatError("montage file defines no pairs")
-    return MontageDef(pairs)
+    return pairs
 
 
-def load_montage(path) -> MontageDef:
+def load_montage(path) -> list[MontagePair]:
     with open(path, "r", encoding="ascii") as f:
         return parse_montage(f.read())
 
 
-def default_montage() -> MontageDef:
+def default_montage() -> list[MontagePair]:
     text = resources.files("chrononet.data").joinpath("tcp_montage.txt").read_text()
     return parse_montage(text)
 
@@ -94,7 +82,7 @@ def _find_signal(rec: EdfRecording, electrode: str) -> int:
     return hits[0]
 
 
-def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recording:
+def apply_montage(rec: EdfRecording, pairs: list[MontagePair]) -> Recording:
     """Each output channel is anode minus cathode, in montage order.
 
     Every pair is checked before any sample is written; the differences then
@@ -102,11 +90,9 @@ def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recor
     to physical values when the first pair that reads it comes up and dropped
     after the last one, so only a few electrodes are held at a time.
     """
-    if montage is None:
-        montage = default_montage()
     operands = []
     rate = None
-    for pair in montage.pairs:
+    for pair in pairs:
         ai = _find_signal(rec, pair.anode)
         ci = _find_signal(rec, pair.cathode)
         a, c = rec.signals[ai], rec.signals[ci]
@@ -132,5 +118,4 @@ def apply_montage(rec: EdfRecording, montage: MontageDef | None = None) -> Recor
         for i in (ai, ci):
             if last_read[i] == row:
                 live.pop(i, None)  # None: an electrode paired with itself
-    return Recording(data=data, rate=float(rate),
-                     patient_id=rec.patient_id, session_id=rec.recording_id)
+    return Recording(data=data, rate=float(rate), session_id=rec.recording_id)

@@ -95,11 +95,12 @@ def resample(signal: np.ndarray, from_hz: float, to_hz: float = TARGET_HZ) -> np
     return out.reshape(signal.shape[:-1] + (out_n,))
 
 
-def resample_recording(rec: Recording, to_hz: float = TARGET_HZ) -> Recording:
-    if rec.rate == to_hz:
+def resample_recording(rec: Recording) -> Recording:
+    """`rec` on the TARGET_HZ grid; `rec` itself when it is already there."""
+    if rec.rate == TARGET_HZ:
         return rec
-    return Recording(data=resample(rec.data, rec.rate, to_hz), rate=to_hz,
-                     patient_id=rec.patient_id, session_id=rec.session_id)
+    return Recording(data=resample(rec.data, rec.rate), rate=TARGET_HZ,
+                     session_id=rec.session_id)
 
 
 def window_count(samples: int, split: str) -> int:

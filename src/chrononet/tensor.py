@@ -7,9 +7,9 @@ for gradient checking) in the layout of the op that made it: a conv block's
 :func:`backward` replays the tape in reverse insertion order, which is a
 valid topological order by construction.
 
-Broadcasting follows the trailing-dimension rule and is one-sided: the right
-operand of a binary op may broadcast up to the left operand's shape, never
-the other way around.
+Broadcasting is one-sided and by suffix only: the right operand of a binary
+op must have the shape of the left operand's trailing axes (a bias row onto a
+batch), and is repeated over its leading axes. No size-1 axis is stretched.
 """
 
 import numpy as np
@@ -105,24 +105,15 @@ def make_op(tag: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tenso
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum-reduce ``grad`` back down to ``shape`` after trailing broadcast."""
+    """Sum ``grad`` over the leading axes a suffix-shaped operand was repeated on."""
     extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
 
 
 def _check_broadcast(a: Tensor, b: Tensor, tag: str) -> None:
-    try:
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{tag}: shapes {a.shape} and {b.shape} do not broadcast") from None
-    if out_shape != a.shape:
+    if b.data.ndim > a.data.ndim or a.shape[a.data.ndim - b.data.ndim:] != b.shape:
         raise ShapeError(
-            f"{tag}: right operand {b.shape} does not broadcast to left operand {a.shape}"
+            f"{tag}: right operand {b.shape} is not the trailing shape of left operand {a.shape}"
         )
 
 

@@ -16,6 +16,7 @@ from .tensor import Graph, Prng, Tensor, backward, make_op
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+PREDICT_BATCH = 256  # windows per forward in `predict`
 
 
 @dataclass
@@ -138,15 +139,9 @@ def _squared_sums(grads: dict) -> dict:
             for name, g in grads.items()}
 
 
-def clip_gradients(grads: dict, max_norm: float, sums: dict | None = None) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
-
-    ``sums`` are the gradients' squared sums when the caller already has them.
-    """
-    total = 0.0
-    for s in (_squared_sums(grads) if sums is None else sums).values():
-        total += s
-    norm = total ** 0.5
+def clip_gradients(grads: dict, max_norm: float) -> float:
+    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    norm = sum(_squared_sums(grads).values()) ** 0.5
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
@@ -202,12 +197,11 @@ def _step(model: Model, params, state: AdamState, cfg: TrainConfig,
         raise NumericError(f"{where}: non-finite values produced by op '{tag}'")
     grad_map = backward(loss, g)
     grads = {name: grad_map[t] for name, t in params if t in grad_map}
-    sums = _squared_sums(grads)
-    for name, s in sums.items():
+    for name, s in _squared_sums(grads).items():
         if not np.isfinite(s):
             raise NumericError(f"{where}: non-finite gradient for {name}")
     if cfg.grad_clip is not None:
-        clip_gradients(grads, cfg.grad_clip, sums)
+        clip_gradients(grads, cfg.grad_clip)
     adam_step(params, grads, state, cfg.learning_rate)
     return loss_val, int((np.argmax(logits.data, axis=1) == yb).sum())
 
@@ -270,14 +264,14 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
     return history
 
 
-def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict(model: Model, x: np.ndarray) -> np.ndarray:
     """Argmax class per sample; ties resolve to the lowest index."""
     x = np.asarray(x, dtype=model.config.dtype)
     out = np.empty(x.shape[0], dtype=np.int64)
-    for start in range(0, x.shape[0], batch_size):
-        chunk = Tensor(x[start:start + batch_size])
+    for start in range(0, x.shape[0], PREDICT_BATCH):
+        chunk = Tensor(x[start:start + PREDICT_BATCH])
         logits = forward(model, chunk)
-        out[start:start + batch_size] = np.argmax(logits.data, axis=1)
+        out[start:start + PREDICT_BATCH] = np.argmax(logits.data, axis=1)
     return out
 
 

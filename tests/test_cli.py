@@ -259,10 +259,9 @@ def test_train_grad_clip_caps_every_step(tmp_path, monkeypatch):
     clip = training.clip_gradients
     norms = []
 
-    def spy(grads, max_norm, sums=None):
+    def spy(grads, max_norm):
         assert max_norm == 0.01
-        assert sums == training._squared_sums(grads)  # this step's gradients
-        norms.append(clip(grads, max_norm, sums))
+        norms.append(clip(grads, max_norm))
         assert sum(training._squared_sums(grads).values()) ** 0.5 <= 0.01 * (1 + 1e-6)
         return norms[-1]
 
@@ -436,6 +435,24 @@ def test_train_best_checkpoint_without_test_fails_before_training(tmp_path, caps
     assert not (tmp_path / "metrics.csv").exists()
 
 
+# with today's trained bits, seed 0 ties every epoch and seed 1 peaks at epoch 0
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_train_best_checkpoint_is_last_epoch_of_max_test_acc(tmp_path, seed):
+    data = synth_container(tmp_path)
+    test_path = synth_container(tmp_path, name="test.cnds", extra=["--seed", "9"])
+    best = tmp_path / "best.cncp"
+    assert run_train(tmp_path, data, ["--test", str(test_path), "--best-checkpoint", str(best),
+                                      "--epochs", "3", "--seed", seed]) == 0
+    rows = [row.split(",") for row in (tmp_path / "metrics.csv").read_text().splitlines()[1:]]
+    accs = [float(row[3]) for row in rows]
+    epoch = max(e for e, acc in enumerate(accs) if acc == max(accs))  # ties go to the later
+    snapshot = ckpt.load_checkpoint(best)
+    assert snapshot.epoch == epoch
+    test_set = container.import_dataset(test_path)
+    acc = training.evaluate(snapshot.model, (test_set.samples, test_set.labels))
+    assert repr(acc) == rows[epoch][3]
+
+
 def test_train_failing_before_first_step_prints_nothing(tmp_path, capsys):
     data = synth_container(tmp_path)
     capsys.readouterr()
@@ -474,6 +491,18 @@ def test_cv_emits_fold_table(tmp_path, capsys):
     assert lines[0] == "fold,accuracy"
     assert [line.split(",")[0] for line in lines[1:6]] == ["0", "1", "2", "3", "4"]
     assert lines[6].startswith("mean,")
+
+
+def test_cv_parallel_folds_write_the_same_table(tmp_path):
+    data = synth_container(tmp_path, per_class=10)
+    tables = []
+    for jobs in ("1", "2"):
+        out_csv = tmp_path / f"folds{jobs}.csv"
+        assert main(["cv", "--data", str(data), "--k", "3", "--jobs", jobs,
+                     "--out", str(out_csv), "--epochs", "2", "--blocks", "1",
+                     "--filters", "2", "--gru-widths", "4"]) == 0
+        tables.append(out_csv.read_text())
+    assert tables[0] == tables[1]
 
 
 def test_cv_requires_groups_sidecar(tmp_path, capsys):
@@ -532,6 +561,22 @@ def test_prepare_window_counts(tmp_path, capsys):
     # training windows are z-scored by their own stats
     assert np.allclose(train.samples.mean(axis=(0, 2)), 0.0, atol=1e-4)
     assert np.allclose(train.samples.std(axis=(0, 2)), 1.0, atol=1e-3)
+
+
+def test_prepare_montage_file_selects_pairs(tmp_path, capsys):
+    edf_dir, manifest = write_fixture(tmp_path, train_seconds=120)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("T4,T6,T4-T6\nFP1,F7,FP1-F7\n")
+    for out, extra in (("full", []), ("two", ["--montage", str(pairs)])):
+        assert main(["prepare", "--edf-dir", str(edf_dir), "--manifest", str(manifest),
+                     "--out", str(tmp_path / out), *extra]) == 0
+    for split in ("train", "test"):
+        full = container.import_dataset(tmp_path / f"full.{split}.cnds").samples
+        two = container.import_dataset(tmp_path / f"two.{split}.cnds").samples
+        assert two.shape == (len(full), 2, 15000)
+        # rows 6 and 0 of the default montage; stats are per channel
+        assert two[:, 0].tobytes() == full[:, 6].tobytes()
+        assert two[:, 1].tobytes() == full[:, 0].tobytes()
 
 
 def traced_prepare(tmp_path, capsys, b_seconds=240):

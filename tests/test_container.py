@@ -276,3 +276,23 @@ def test_manifest_empty_patient_id_names_line(tmp_path):
     ))
     with pytest.raises(DataError, match="line 3: patient_id"):
         read_manifest(path)
+
+
+def test_manifest_path_listed_twice_names_both_lines(tmp_path):
+    # Different patients, so the split-overlap check alone would pass it, and
+    # the same recording would be a train and a test window.
+    path = write_manifest(tmp_path, (
+        "a.edf,normal,p1,train\n"
+        "b.edf,normal,p2,train\n"
+        "./a.edf,normal,p3,test\n"
+    ))
+    with pytest.raises(DataError, match=r"line 4: './a.edf' is listed on line 2"):
+        read_manifest(path)
+
+
+def test_manifest_patient_id_with_line_break_names_line(tmp_path):
+    # the groups sidecar holds one id per line
+    for body in ('a.edf,0,"p\n1",train\n', 'a.edf,0,"p\r1",train\n'):
+        path = write_manifest(tmp_path, body)
+        with pytest.raises(DataError, match="line 2: patient_id .* line break"):
+            read_manifest(path)

@@ -6,7 +6,7 @@ import pytest
 
 from chrononet.data import edf
 from chrononet.data.edf import recording_from_arrays
-from chrononet.data.montage import (MontageDef, MontagePair, Recording,
+from chrononet.data.montage import (MontagePair, Recording,
                                     apply_montage, default_montage,
                                     parse_montage)
 from chrononet.data.preprocess import (FIR_TAPS, WINDOW_SAMPLES, _lowpass_taps,
@@ -141,12 +141,11 @@ def test_resample_rejects_bad_rates():
 
 
 def test_resample_recording_carries_ids():
-    rec = Recording(data=np.zeros((2, 500)), rate=500.0,
-                    patient_id="p1", session_id="s1")
-    out = resample_recording(rec, 250.0)
+    rec = Recording(data=np.zeros((2, 500)), rate=500.0, session_id="s1")
+    out = resample_recording(rec)
     assert out.rate == 250.0 and out.samples == 250
-    assert out.patient_id == "p1" and out.session_id == "s1"
-    same = resample_recording(out, 250.0)
+    assert out.session_id == "s1"
+    same = resample_recording(out)
     assert same is out
 
 
@@ -181,7 +180,7 @@ def test_cut_leaves_windows_bitwise_equal(rate):
     rng = np.random.default_rng(rate)
     full = recording_from_arrays(rng.normal(scale=40.0, size=(2, 720 * rate)),
                                  ["EEG A-REF", "EEG B-REF"], float(rate))
-    montage = MontageDef([MontagePair("A", "B", "A-B")])
+    montage = [MontagePair("A", "B", "A-B")]
     for seconds in (60, 61, 90, 660, 661, 700, 720):
         rec = replace(full, record_count=seconds, signals=[
             replace(sig, digital=sig.digital[:seconds * rate]) for sig in full.signals])
@@ -207,7 +206,7 @@ def test_cut_keeps_enough_input_at_a_high_rate():
     rec = _one_sample_records(recording_from_arrays(
         rng.normal(size=(2, 61 * rate)), ["EEG A-REF", "EEG B-REF"], float(rate)))
     (whole, whole_w, _), (cut, cut_w, session) = _windows_with_and_without_cut(
-        rec, "test", MontageDef([MontagePair("A", "B", "A-B")]))
+        rec, "test", [MontagePair("A", "B", "A-B")])
     assert len(cut_w) == 1 and np.array_equal(cut, whole)
     assert session.record_count == 60 * rate
 
@@ -221,7 +220,7 @@ def test_cut_leaves_sessions_without_windows_whole():
 def _minutes_recording(seconds, rate=250.0, channels=3):
     n = int(seconds * rate)
     data = np.arange(channels * n, dtype=np.float64).reshape(channels, n)
-    return Recording(data=data, rate=rate, patient_id="p", session_id="s")
+    return Recording(data=data, rate=rate, session_id="s")
 
 
 def test_train_windows_capped_at_eleven():
@@ -375,31 +374,30 @@ def electrode_edf(tmp_path, rate=250.0, seconds=2, prefix="EEG ", suffix="-REF")
 def test_default_montage_is_22_pairs():
     m = default_montage()
     assert len(m) == 22
-    assert m.pairs[0].anode == "FP1" and m.pairs[0].cathode == "F7"
-    names = [p.name for p in m.pairs]
+    assert m[0].anode == "FP1" and m[0].cathode == "F7"
+    names = [p.name for p in m]
     assert len(set(names)) == 22
 
 
 def test_apply_montage_differences(tmp_path):
     rec = electrode_edf(tmp_path)
-    out = apply_montage(rec)
-    assert out.channels == 22
+    out = apply_montage(rec, default_montage())
+    assert out.data.shape[0] == 22
     assert out.rate == 250.0
-    assert out.patient_id == rec.patient_id
     by_token = {}
     for sig in rec.signals:
         token = sig.label.replace("EEG ", "").replace("-REF", "")
         by_token[token] = sig.samples
     m = default_montage()
-    for row, pair in zip(out.data, m.pairs):
+    for row, pair in zip(out.data, m):
         assert np.allclose(row, by_token[pair.anode] - by_token[pair.cathode])
 
 
 def test_apply_montage_rows_are_bitwise_differences(tmp_path):
     rec = electrode_edf(tmp_path, rate=512.0)
     samples = {sig.label: sig.samples for sig in rec.signals}
-    out = apply_montage(rec)
-    for row, pair in zip(out.data, default_montage().pairs):
+    out = apply_montage(rec, default_montage())
+    for row, pair in zip(out.data, default_montage()):
         anode = samples[f"EEG {pair.anode}-REF"]
         cathode = samples[f"EEG {pair.cathode}-REF"]
         assert np.array_equal(row, anode - cathode)
@@ -417,7 +415,7 @@ def test_apply_montage_converts_each_electrode_once_and_holds_few(tmp_path, monk
     monkeypatch.setattr(edf, "digital_to_physical", counting)
     tracemalloc.start()
     try:
-        out = apply_montage(rec)
+        out = apply_montage(rec, default_montage())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -436,21 +434,21 @@ def test_montage_token_matching_is_exact(tmp_path):
     path = tmp_path / "t.edf"
     write_edf(path, rec)
     loaded = read_edf(path)
-    montage = MontageDef([MontagePair("FP1", "P1", "FP1-P1")])
+    montage = [MontagePair("FP1", "P1", "FP1-P1")]
     out = apply_montage(loaded, montage)
     quantum = loaded.signals[0].scale
     assert np.allclose(out.data[0], -1.0, atol=2 * quantum)
     with pytest.raises(DataError, match="T3"):
-        apply_montage(loaded, MontageDef([MontagePair("T3", "P1", "T3-P1")]))
+        apply_montage(loaded, [MontagePair("T3", "P1", "T3-P1")])
 
 
 def test_montage_missing_and_ambiguous(tmp_path):
     rec = electrode_edf(tmp_path)
     with pytest.raises(DataError, match="not found"):
-        apply_montage(rec, MontageDef([MontagePair("XX", "F7", "bad")]))
+        apply_montage(rec, [MontagePair("XX", "F7", "bad")])
     rec.signals[1].label = rec.signals[0].label  # duplicate FP1
     with pytest.raises(DataError, match="ambiguous"):
-        apply_montage(rec, MontageDef([MontagePair("FP1", "F7", "dup")]))
+        apply_montage(rec, [MontagePair("FP1", "F7", "dup")])
 
 
 def test_montage_rate_mismatch(tmp_path):
@@ -461,7 +459,7 @@ def test_montage_rate_mismatch(tmp_path):
     sig.samples_per_record //= 2
     sig.digital = sig.digital[::2]
     with pytest.raises(DataError, match="rate"):
-        apply_montage(rec, MontageDef([MontagePair("FP1", "F7", "FP1-F7")]))
+        apply_montage(rec, [MontagePair("FP1", "F7", "FP1-F7")])
 
 
 def test_parse_montage_rejects_malformed():
@@ -471,4 +469,4 @@ def test_parse_montage_rejects_malformed():
         parse_montage("# only comments\n")
     m = parse_montage("FP1, F7, FP1-F7  # frontal\n\nF7,T3,F7-T3\n")
     assert len(m) == 2
-    assert m.pairs[0].cathode == "F7"
+    assert m[0].cathode == "F7"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,22 @@ def test_broadcast_is_one_sided():
         add(small, big)  # left operand may not grow
     with pytest.raises(ShapeError):
         add(Tensor(np.ones(3)), Tensor(np.ones(4)))
+
+
+def test_broadcast_is_by_suffix_only():
+    big = Tensor(np.ones((3, 2)))
+    for shape in ((3, 1), (1, 2)):  # numpy would stretch the size-1 axis
+        for op in (add, sub, mul):
+            with pytest.raises(ShapeError, match=re.escape(str(shape)) + r".*\(3, 2\)"):
+                op(big, Tensor(np.ones(shape)))
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    bias = Tensor([2.0, -1.0], requires_grad=True)
+    with Graph() as g:
+        loss = tsum(mul(add(x, bias), x))  # (x + b) * x
+    grads = backward(loss, g)
+    assert grads[bias].shape == (2,)
+    assert np.array_equal(grads[bias], x.data.sum(axis=0))
+    assert np.array_equal(grads[x], 2 * x.data + bias.data)
 
 
 def test_activation_values():

@@ -239,10 +239,11 @@ def test_format_metrics_row_roundtrip():
                                          "test_acc", "seconds"]
 
 
-def test_predict_and_evaluate():
+def test_predict_and_evaluate(monkeypatch):
     x, y = tiny_dataset(10)
     model = build(small_config(), Prng(2))
-    preds = predict(model, x, batch_size=4)
+    monkeypatch.setattr(training, "PREDICT_BATCH", 4)
+    preds = predict(model, x)
     assert preds.shape == (10,)
     assert preds.dtype == np.int64
     acc = evaluate(model, (x, y))
@@ -251,12 +252,14 @@ def test_predict_and_evaluate():
         evaluate(model, (x[:0], y[:0]))
 
 
-def test_predict_batch_size_invariance():
+def test_predict_batch_size_invariance(monkeypatch):
     x, y = tiny_dataset(9)
     model = build(small_config(), Prng(3))
-    p1 = predict(model, x, batch_size=3)
-    p2 = predict(model, x, batch_size=9)
-    p3 = predict(model, x, batch_size=4)  # ragged final chunk
+    preds = []
+    for size in (3, 9, 4):  # 4: a ragged final chunk
+        monkeypatch.setattr(training, "PREDICT_BATCH", size)
+        preds.append(predict(model, x))
+    p1, p2, p3 = preds
     assert np.array_equal(p1, p2) and np.array_equal(p1, p3)
 
 
