@@ -271,7 +271,7 @@ def _prepare_session(path, split: str, pairs) -> list[np.ndarray]:
 
 
 def cmd_prepare(args) -> int:
-    entries = container.read_manifest(args.manifest)
+    entries = container.read_manifest(args.manifest, args.edf_dir)
     if not entries:
         raise DataError(f"{args.manifest}: manifest lists no sessions")
     pairs = montage.load_montage(args.montage) if args.montage else montage.default_montage()

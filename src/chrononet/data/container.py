@@ -155,7 +155,10 @@ class ManifestEntry:
     split: str
 
 
-def read_manifest(path) -> list[ManifestEntry]:
+def read_manifest(path, edf_dir) -> list[ManifestEntry]:
+    """The manifest's sessions, each path relative to ``edf_dir`` unless
+    absolute. Errors name the file line a row starts on; a recording listed
+    twice, under any spelling or through a symlink, names both lines."""
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -166,8 +169,10 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise FormatError(f"manifest header must be {','.join(MANIFEST_HEADER)!r}, "
                               f"got {','.join(header)!r}")
         entries = []
-        listed = {}  # normalised path -> the line that lists it
-        for lineno, row in enumerate(reader, start=2):
+        listed = {}  # resolved path -> the line that lists it
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num  # a quoted field may span lines
             if not row or not any(field.strip() for field in row):
                 continue
             if len(row) != 4:
@@ -177,9 +182,11 @@ def read_manifest(path) -> list[ManifestEntry]:
                 raise DataError(f"manifest line {lineno}: patient_id must not be empty")
             if "\n" in patient or "\r" in patient:  # the groups sidecar holds one id per line
                 raise DataError(f"manifest line {lineno}: patient_id {patient!r} has a line break")
-            first = listed.setdefault(os.path.normpath(file_path), lineno)
+            real = os.path.realpath(os.path.join(edf_dir, file_path))
+            first = listed.setdefault(real, lineno)
             if first != lineno:
-                raise DataError(f"manifest line {lineno}: {file_path!r} is listed on line {first}")
+                raise DataError(f"manifest line {lineno}: {file_path!r} is listed on line "
+                                f"{first}, both {real!r}")
             label_text = label_text.lower()
             if label_text in LABEL_NAMES:
                 label = LABEL_NAMES[label_text]

@@ -27,9 +27,13 @@ A conv block, plain or inception, owns one kernel and one bias per branch
 and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
 its input once, along time in channel-last memory, and runs each branch as a
 few GEMMs on overlapping row views of the padded rows, building no window
-columns (Cho & Brand 2017, MEC).  For backward it keeps the padded rows, the
-kernels in (tap, channel) column order and the (B, F, T_out) output, whose
-sign gates the ReLU.
+columns (Cho & Brand 2017, MEC).  Each branch writes its pre-activation plus
+bias into its columns of one channel-last block buffer, and one ReLU runs
+over the whole buffer; the (B, F, T_out) output is a view of it.  For
+backward the node keeps the padded rows, the kernels in (tap, channel)
+column order and the block buffer with its straddle rows, whose sign gates
+the ReLU: one gradient buffer is filled and masked, and one column sum gives
+every branch's bias gradient.
 
 Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
 order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
@@ -378,8 +382,16 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
     from the branch's phase ``off % stride``, taps [u*s, u*s + s) of every
     window form one row, and window t of element b starts in row
     b*rows_per + off//s + t.  So a branch is ceil(k/s) GEMMs on contiguous
-    row blocks, summed; the rows that straddle two elements are computed and
-    dropped.
+    row blocks, summed.  Each branch adds its bias into its columns of one
+    (B*rows_per, F) buffer, and one ReLU runs over the buffer.  The rows
+    that straddle two elements are computed and kept there, out of the
+    (B, F, T_out) view that is the output.
+
+    Under a graph the node keeps the padded rows and that buffer.  Its
+    backward fills one (B, rows_per, F) gradient from the output gradient,
+    masks it once with the buffer's sign, takes every bias gradient from one
+    column sum, and runs each branch's kernel and input-gradient GEMMs on
+    that branch's columns.
     """
     if seq.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, channels, time), got {seq.shape}")
@@ -403,7 +415,7 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
         lo += out_ch
         spare = max(spare, off + (k - 1) // s * s)   # taps the last row block reads past
     # channel-last; the transpose is free for a conv block's output, which
-    # is (B, T, F) in memory
+    # is (B, T, F) rows of its block buffer in memory
     padded = np.zeros((batch * rows_per * s + spare, in_ch), seq.dtype)
     padded[:batch * rows_per * s].reshape(batch, rows_per * s, in_ch)[
         :, pad_left:pad_left + length] = seq.data.transpose(0, 2, 1)
@@ -418,7 +430,10 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
             c0, c1 = u * s * in_ch, min(u * s + s, k) * in_ch
             yield rows[r0 + u:r0 + u + n, :c1 - c0], c0, c1
 
-    out_data = np.empty((batch, t_out, block.out_channels), seq.dtype).transpose(0, 2, 1)
+    # every branch's pre-activation plus bias in its columns of one
+    # channel-last buffer, straddle rows included, then one ReLU over it all
+    F = block.out_channels
+    act = np.empty((n, F), seq.dtype)
     for (w, lo, off, wt), b in zip(branches, block.biases):
         out_ch, _, k = w.shape
         pre = tmp = None
@@ -428,34 +443,35 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
             else:
                 tmp = np.matmul(v, wt[:, c0:c1].T, out=tmp)
                 pre += tmp
-        pre = pre.reshape(batch, rows_per, out_ch)[:, :t_out]
-        o = out_data[:, lo:lo + out_ch]
-        np.maximum(np.add(pre.transpose(0, 2, 1), b.data[:, None], out=o), 0.0, out=o)
+        np.add(pre, b.data, out=act[:, lo:lo + out_ch])
+    np.maximum(act, 0.0, out=act)
+    out_data = act.reshape(batch, rows_per, F)[:, :t_out].transpose(0, 2, 1)
 
     def bwd(g):
+        # the output gradient times the ReLU's 0/1 derivative, on the rows
+        # of the GEMMs: zero on the straddle rows, so they add nothing.  A
+        # multiply, because numpy's masked copy and np.where ran about 4x
+        # slower here; a non-finite gradient at an inactive unit therefore
+        # stays non-finite.
+        g2 = np.zeros((batch, rows_per, F), seq.dtype)
+        g2[:, :t_out] = g.transpose(0, 2, 1)
+        g2 *= act.reshape(batch, rows_per, F) > 0
+        g2 = g2.reshape(n, F)
+        db = g2.sum(axis=0)
         grads, dpad = [], None
         if seq.requires_grad:   # false for conv0, whose input is the data
             dpad = np.zeros_like(padded)
         for w, lo, off, wt in branches:
             out_ch, _, k = w.shape
-            # the output gradient times the ReLU's 0/1 derivative, on the
-            # rows of the GEMMs: zero on the straddle rows, so they add
-            # nothing.  A multiply, because numpy's masked copy and
-            # np.where ran about 4x slower here; a non-finite gradient at an
-            # inactive unit therefore stays non-finite.
-            g2 = np.zeros((batch, rows_per, out_ch), seq.dtype)
-            gv = g2[:, :t_out]
-            gv[...] = g[:, lo:lo + out_ch].transpose(0, 2, 1)
-            gv *= out_data[:, lo:lo + out_ch].transpose(0, 2, 1) > 0
-            g2 = g2.reshape(n, out_ch)
+            gb = g2[:, lo:lo + out_ch]
             dwt = np.empty_like(wt)
             for v, c0, c1 in chunks(padded, off, k):
-                np.matmul(g2.T, v, out=dwt[:, c0:c1])
+                np.matmul(gb.T, v, out=dwt[:, c0:c1])
             if dpad is not None:
                 for dv, c0, c1 in chunks(dpad, off, k):
-                    dv += g2 @ wt[:, c0:c1]
+                    dv += gb @ wt[:, c0:c1]
             grads += [np.ascontiguousarray(dwt.reshape(out_ch, k, in_ch).transpose(0, 2, 1)),
-                      g2.sum(axis=0)]
+                      db[lo:lo + out_ch]]
         dseq = None
         if dpad is not None:
             d = dpad[:batch * rows_per * s].reshape(batch, rows_per * s, in_ch)

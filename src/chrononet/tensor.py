@@ -2,10 +2,10 @@
 
 A :class:`Tensor` wraps a numpy float array (float32 for training, float64
 for gradient checking) in the layout of the op that made it: a conv block's
-(B, F, T) output is a transposed view of a (B, T, F) buffer.  While a
-:class:`Graph` is active, every operation appends one node to it;
-:func:`backward` replays the tape in reverse insertion order, which is a
-valid topological order by construction.
+(B, F, T) output is a transposed view of the first T rows per element of a
+(B, T', F) buffer.  While a :class:`Graph` is active, every operation appends
+one node to it; :func:`backward` replays the tape in reverse insertion order,
+which is a valid topological order by construction.
 
 Broadcasting is one-sided and by suffix only: the right operand of a binary
 op must have the shape of the left operand's trailing axes (a bias row onto a

@@ -102,35 +102,70 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """Adam's first and second moments for the whole model, as flat arrays of
+    the parameters' dtype, one slice per parameter in the order given, plus
+    the shared step counter.  Parameters stay separate arrays.
+
+    ``gather`` copies a step's gradients into ``grad``, a new flat array in
+    the same layout, and ``adam_step`` spends it and drops it: the step's
+    work arrays exist only between the two, after the tape has died."""
 
     def __init__(self, named_params):
-        self.m = {name: np.zeros_like(t.data) for name, t in named_params}
-        self.v = {name: np.zeros_like(t.data) for name, t in named_params}
+        self.slots, size = {}, 0   # name -> (its slice of the flat arrays, its shape)
+        for name, t in named_params:
+            self.slots[name] = (slice(size, size + t.data.size), t.data.shape)
+            size += t.data.size
+        dtype = np.result_type(*{t.data.dtype for _, t in named_params})
+        self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self.grad = self.grads = None
         self.t = 0
+
+    def gather(self, grads: dict) -> dict:
+        """Copy each parameter's gradient into a new ``grad``; returns its
+        views keyed by name, kept as ``grads``, which gather to themselves."""
+        if grads is self.grads:
+            return grads
+        flat, views = np.empty_like(self.m), {}
+        for name, (where, shape) in self.slots.items():
+            g = grads.get(name)
+            if g is None:
+                raise ContractError(f"no gradient for {name}")
+            if g.shape != shape:
+                raise ContractError(f"gradient for {name} has shape {g.shape}, parameter is {shape}")
+            views[name] = view = flat[where].reshape(shape)
+            view[...] = g
+        self.grad, self.grads = flat, views
+        return views
 
 
 def adam_step(named_params, grads: dict, state: AdamState, lr: float) -> None:
-    """One in-place update; bias correction uses the post-increment counter."""
+    """One in-place update; bias correction uses the post-increment counter.
+
+    Every parameter needs a gradient of its shape (``AdamState.gather``).
+    Each op below is one pass over the whole model, in the order and dtype
+    of the per-parameter formula
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps),
+    with the gradient array as the second work array."""
+    state.gather(grads)
+    m, v, g, tmp = state.m, state.v, state.grad, np.empty_like(state.grad)
+    state.grad = state.grads = None
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=tmp)
+    v *= BETA2
+    v += np.multiply(1.0 - BETA2, np.square(g, out=g), out=g)   # g is spent from here
+    np.divide(m, bc1, out=tmp)
+    np.multiply(lr, tmp, out=tmp)
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += EPSILON
+    tmp /= g
     for name, param in named_params:
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != param.data.shape:
-            raise ContractError(
-                f"gradient for {name} has shape {g.shape}, parameter is {param.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * np.square(g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        param.data -= (lr * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(param.data.dtype)
+        where, shape = state.slots[name]
+        param.data -= tmp[where].reshape(shape)
 
 
 def _squared_sums(grads: dict) -> dict:
@@ -185,7 +220,8 @@ def _keep_freed_heap() -> None:
 def _step(model: Model, params, state: AdamState, cfg: TrainConfig,
           xb: np.ndarray, yb: np.ndarray, where: str) -> tuple[float, int]:
     """One update on one batch; returns its loss and its count of correct
-    argmaxes. Its tape, logits and gradients die when it returns."""
+    argmaxes. Its tape and inner gradients die before the update, its logits
+    and parameter gradients when it returns."""
     with Graph() as g:
         logits = forward(model, Tensor(xb))
         loss = softmax_cross_entropy(logits, yb)
@@ -196,10 +232,17 @@ def _step(model: Model, params, state: AdamState, cfg: TrainConfig,
                    if not np.all(np.isfinite(node.out.data)))
         raise NumericError(f"{where}: non-finite values produced by op '{tag}'")
     grad_map = backward(loss, g)
-    grads = {name: grad_map[t] for name, t in params if t in grad_map}
-    for name, s in _squared_sums(grads).items():
-        if not np.isfinite(s):
-            raise NumericError(f"{where}: non-finite gradient for {name}")
+    grads = {name: grad_map.get(t) for name, t in params}
+    del g, grad_map   # the tape and the inner gradients die before Adam's work arrays exist
+    grads = state.gather(grads)
+    # The dot product is finite when every value is, unless float32 overflows;
+    # only then do the float64 sums run, to decide and to name the parameter.
+    with np.errstate(over="ignore"):
+        sum_of_squares = np.dot(state.grad, state.grad)
+    if not np.isfinite(sum_of_squares):
+        for name, s in _squared_sums(grads).items():
+            if not np.isfinite(s):
+                raise NumericError(f"{where}: non-finite gradient for {name}")
     if cfg.grad_clip is not None:
         clip_gradients(grads, cfg.grad_clip)
     adam_step(params, grads, state, cfg.learning_rate)

@@ -215,7 +215,7 @@ def test_manifest_parses_names_and_indices(tmp_path):
         "d.edf,2,p4,test\n"
         "\n"
     ))
-    entries = read_manifest(path)
+    entries = read_manifest(path, tmp_path)
     assert [e.label for e in entries] == [0, 1, 1, 2]
     assert entries[0].path == "a.edf"
     assert entries[2].split == "test"
@@ -225,32 +225,32 @@ def test_manifest_header_required(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("file,label,patient,fold\na.edf,0,p1,train\n")
     with pytest.raises(FormatError, match="header"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
     empty = tmp_path / "e.csv"
     empty.write_text("")
     with pytest.raises(FormatError, match="empty"):
-        read_manifest(empty)
+        read_manifest(empty, tmp_path)
 
 
 def test_manifest_bad_label(tmp_path):
     path = write_manifest(tmp_path, "a.edf,maybe,p1,train\n")
     with pytest.raises(DataError, match="label"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
     path = write_manifest(tmp_path, "a.edf,-2,p1,train\n", name="neg.csv")
     with pytest.raises(DataError, match="class index"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
     # a record's label is a u16: a larger index fails at its line, not after
     # every session has been prepared
     path = write_manifest(tmp_path, "a.edf,65535,p1,train\nb.edf,70000,p2,train\n",
                           name="wide.csv")
     with pytest.raises(DataError, match="manifest line 3: class index .* 70000"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_bad_split(tmp_path):
     path = write_manifest(tmp_path, "a.edf,0,p1,validation\n")
     with pytest.raises(DataError, match="split"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_patient_overlap_rejected(tmp_path):
@@ -260,13 +260,13 @@ def test_manifest_patient_overlap_rejected(tmp_path):
         "c.edf,1,p1,test\n"
     ))
     with pytest.raises(DataError, match="p1"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_field_count(tmp_path):
     path = write_manifest(tmp_path, "a.edf,0,p1\n")
     with pytest.raises(FormatError, match="4 fields"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_empty_patient_id_names_line(tmp_path):
@@ -275,7 +275,7 @@ def test_manifest_empty_patient_id_names_line(tmp_path):
         "b.edf,1, ,train\n"
     ))
     with pytest.raises(DataError, match="line 3: patient_id"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_path_listed_twice_names_both_lines(tmp_path):
@@ -287,7 +287,7 @@ def test_manifest_path_listed_twice_names_both_lines(tmp_path):
         "./a.edf,normal,p3,test\n"
     ))
     with pytest.raises(DataError, match=r"line 4: './a.edf' is listed on line 2"):
-        read_manifest(path)
+        read_manifest(path, tmp_path)
 
 
 def test_manifest_patient_id_with_line_break_names_line(tmp_path):
@@ -295,4 +295,32 @@ def test_manifest_patient_id_with_line_break_names_line(tmp_path):
     for body in ('a.edf,0,"p\n1",train\n', 'a.edf,0,"p\r1",train\n'):
         path = write_manifest(tmp_path, body)
         with pytest.raises(DataError, match="line 2: patient_id .* line break"):
-            read_manifest(path)
+            read_manifest(path, tmp_path)
+
+
+def test_manifest_same_file_under_another_spelling_names_both_lines(tmp_path):
+    # cli.cmd_prepare joins each path to the EDF directory, where an absolute
+    # path wins: both rows would read the same recording
+    path = write_manifest(tmp_path, (
+        "a.edf,normal,p1,train\n"
+        f"{tmp_path / 'a.edf'},normal,p3,test\n"
+    ))
+    with pytest.raises(DataError, match=r"line 3: .* is listed on line 2"):
+        read_manifest(path, tmp_path)
+
+
+def test_manifest_symlink_to_a_listed_file_names_both_lines(tmp_path):
+    (tmp_path / "a.edf").write_bytes(b"")
+    os.symlink(tmp_path / "a.edf", tmp_path / "b.edf")
+    path = write_manifest(tmp_path, "a.edf,normal,p1,train\nb.edf,normal,p3,test\n")
+    with pytest.raises(DataError, match=r"line 3: 'b.edf' is listed on line 2"):
+        read_manifest(path, tmp_path)
+
+
+def test_manifest_lines_counted_through_a_quoted_line_break(tmp_path):
+    path = write_manifest(tmp_path, '"a\n.edf",0,p1,train\nb.edf,maybe,p2,train\n')
+    with pytest.raises(DataError, match="manifest line 4: label"):
+        read_manifest(path, tmp_path)
+    path = write_manifest(tmp_path, '"a\n.edf",0,p1,train\n"a\n.edf",1,p2,train\n')
+    with pytest.raises(DataError, match="line 4: .* is listed on line 2"):
+        read_manifest(path, tmp_path)

@@ -551,6 +551,86 @@ def test_conv_block_keeps_padded_rows_and_output():
     assert kept < padded + out.data.nbytes + 64 * 1024
 
 
+def per_branch_conv(block, x, gout):
+    """The conv block as one pass per branch: each branch's GEMMs, bias and
+    ReLU write its own output channels, and its backward fills, masks and
+    sums its own gradient.  Same GEMMs in the same order as the block, so the
+    block must match it byte for byte.  Returns (out, dx or None, [dW, db]...)."""
+    batch, in_ch, length = x.shape
+    s, K = block.stride, max(w.shape[2] for w in block.kernels)
+    pad_left, t_out = (K - 1) // 2, conv1d_output_length(length, s)
+    rows_per = conv1d_output_length(length + K - 1, s)
+    n = batch * rows_per
+    padded = np.zeros((n * s + K + s, in_ch), x.dtype)
+    padded[:n * s].reshape(batch, rows_per * s, in_ch)[:, pad_left:pad_left + length] = \
+        x.transpose(0, 2, 1)
+
+    def chunks(buf, off, k):
+        rows = buf.reshape(-1)[(off % s) * in_ch:].reshape(-1)
+        rows = rows[:rows.size // (s * in_ch) * s * in_ch].reshape(-1, s * in_ch)
+        for u in range(-(-k // s)):
+            c0, c1 = u * s * in_ch, min(u * s + s, k) * in_ch
+            yield rows[off // s + u:off // s + u + n, :c1 - c0], c0, c1
+
+    out = np.empty((batch, block.out_channels, t_out), x.dtype)
+    dpad = np.zeros_like(padded)
+    grads, lo = [], 0
+    for w, b in zip(block.kernels, block.biases):
+        out_ch, _, k = w.shape
+        off = pad_left - (k - 1) // 2
+        wt = w.data.transpose(0, 2, 1).reshape(out_ch, k * in_ch)
+        pre = None
+        for v, c0, c1 in chunks(padded, off, k):
+            pre = v @ wt[:, c0:c1].T if pre is None else pre + v @ wt[:, c0:c1].T
+        pre = pre.reshape(batch, rows_per, out_ch)[:, :t_out]
+        o = out[:, lo:lo + out_ch]
+        np.maximum(np.add(pre.transpose(0, 2, 1), b.data[:, None], out=o), 0.0, out=o)
+        g2 = np.zeros((batch, rows_per, out_ch), x.dtype)
+        g2[:, :t_out] = gout[:, lo:lo + out_ch].transpose(0, 2, 1)
+        g2[:, :t_out] *= o.transpose(0, 2, 1) > 0
+        g2 = g2.reshape(n, out_ch)
+        dwt = np.empty_like(wt)
+        for v, c0, c1 in chunks(padded, off, k):
+            dwt[:, c0:c1] = g2.T @ v
+        for dv, c0, c1 in chunks(dpad, off, k):
+            dv += g2 @ wt[:, c0:c1]
+        grads += [dwt.reshape(out_ch, k, in_ch).transpose(0, 2, 1), g2.sum(axis=0)]
+        lo += out_ch
+    dx = dpad[:n * s].reshape(batch, rows_per * s, in_ch)[:, pad_left:pad_left + length]
+    return out, dx.transpose(0, 2, 1), grads
+
+
+def test_conv_block_matches_per_branch_passes_byte_for_byte():
+    # one bias/ReLU pass and one mask/bias-sum pass over the block's buffer
+    # give the bits of one pass per branch
+    rng = np.random.default_rng(43)
+    for dtype in (np.float32, np.float64):
+        for kernels in ((4,), (3,), (2, 4, 8), (1, 2, 3, 5)):
+            for stride in (1, 2, 3):
+                for length in (1, 7, 25):
+                    block = InceptionConvBlock.init(Prng(43 + stride), 3, 4, kernels, stride,
+                                                    dtype)
+                    for b in block.biases:
+                        b.data[:] = rng.normal(0.0, 0.1, b.shape)
+                    x = rng.normal(size=(2, 3, length)).astype(dtype)
+                    gout = rng.normal(size=(2, block.out_channels,
+                                            conv1d_output_length(length, stride))).astype(dtype)
+                    ref_out, ref_dx, ref_grads = per_branch_conv(block, x, gout)
+                    for req in (False, True):
+                        with Graph() as g:
+                            out = inception_conv1d_forward(block, Tensor(x, requires_grad=req))
+                        dx, *grads = g.nodes[0].backward_fn(gout)
+                        case = (dtype, kernels, stride, length, req)
+                        assert out.data.dtype == dtype and out.shape == ref_out.shape, case
+                        assert np.ascontiguousarray(out.data).tobytes() == ref_out.tobytes(), case
+                        assert (dx is None) == (not req), case
+                        if req:
+                            assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes(), case
+                        for a, r in zip(grads, ref_grads, strict=True):
+                            assert a.dtype == dtype and a.shape == r.shape, case
+                            assert a.tobytes() == np.ascontiguousarray(r).tobytes(), case
+
+
 # ---------------------------------------------------------------------------
 # stacks and readout
 

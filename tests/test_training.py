@@ -167,6 +167,70 @@ def test_adam_rejects_shape_mismatch():
         adam_step(params, {"w": np.zeros(2)}, state, 0.001)
 
 
+def test_flat_adam_matches_per_array_formula_byte_for_byte():
+    # the per-parameter update, written out; the flat passes must give its bits
+    model = build(ModelConfig(architecture="chrononet", input_channels=3), Prng(4))
+    params = model.named_parameters()
+    ref = {name: t.data.copy() for name, t in params}
+    m = {name: np.zeros_like(a) for name, a in ref.items()}
+    v = {name: np.zeros_like(a) for name, a in ref.items()}
+    state = AdamState(params)
+    rng = np.random.default_rng(4)
+    for t in range(1, 5):
+        grads = {name: rng.normal(0.0, 10.0 ** -t, a.shape).astype(np.float32)
+                 for name, a in ref.items()}
+        for name, g in grads.items():
+            m[name] = m[name] * training.BETA1 + (1.0 - training.BETA1) * g
+            v[name] = v[name] * training.BETA2 + (1.0 - training.BETA2) * np.square(g)
+            m_hat = m[name] / (1.0 - training.BETA1 ** t)
+            v_hat = v[name] / (1.0 - training.BETA2 ** t)
+            ref[name] -= 0.01 * m_hat / (np.sqrt(v_hat) + training.EPSILON)
+        adam_step(params, grads, state, 0.01)
+        for name, p in params:
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == ref[name].tobytes(), (t, name)
+
+
+def test_adam_names_a_missing_or_misshapen_gradient():
+    params = [("a", Tensor(np.zeros(2), requires_grad=True)),
+              ("b", Tensor(np.zeros((3, 2)), requires_grad=True))]
+    for grads, message in (({"a": np.zeros(2)}, "no gradient for b"),
+                           ({"a": np.zeros(2), "b": np.zeros(6)},
+                            r"gradient for b has shape \(6,\), parameter is \(3, 2\)")):
+        with pytest.raises(ContractError, match=message):
+            adam_step(params, grads, AdamState(params), 0.001)
+    assert all(np.all(p.data == 0.0) for _, p in params)
+
+
+def test_step_names_a_parameter_the_loss_does_not_reach():
+    model = build(small_config(), Prng(5))
+    unused = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    params = model.named_parameters() + [("unused", unused)]
+    x, y = tiny_dataset(n=4)
+    with pytest.raises(ContractError, match="no gradient for unused"):
+        training._step(model, params, AdamState(params), TrainConfig(), x, y, "epoch 0 batch 0")
+
+
+def test_step_takes_finite_gradients_whose_float32_sum_of_squares_overflows(monkeypatch):
+    # the float64 sums of squares decide, as they did per parameter: finite
+    model = build(small_config(), Prng(6))
+    params = model.named_parameters()
+    weight = dict(params)["readout.W"]
+    real_backward = training.backward
+
+    def large(loss, graph):
+        grads = real_backward(loss, graph)
+        grads[weight].flat[:2] = 1.5e19   # each square fits float32, their sum does not
+        return grads
+
+    monkeypatch.setattr(training, "backward", large)
+    state = AdamState(params)
+    x, y = tiny_dataset(n=4)
+    training._step(model, params, state, TrainConfig(), x, y, "epoch 0 batch 0")
+    assert state.t == 1
+    assert all(np.all(np.isfinite(t.data)) for _, t in params)
+
+
 def test_clip_gradients():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
     norm = clip_gradients(grads, 1.0)
