@@ -196,7 +196,26 @@ def cmd_eval(args) -> int:
     for t in range(k):
         counts = " ".join(str(confusion[t, p]) for p in range(k))
         print(f"true {t}: {counts}")
+    for line in class_rates(confusion):
+        print(line)
     return 0
+
+
+def class_rates(confusion: np.ndarray) -> list[str]:
+    """One line per class of a (true, predicted) count matrix: sensitivity
+    TP / (TP + FN) and specificity TN / (TN + FP), the class taken as the
+    positive one; "n/a" where a class has no positives or no negatives."""
+    def ratio(num, den):
+        return f"{num / den:.4f}" if den else "n/a"
+
+    total = confusion.sum()
+    lines = []
+    for c in range(confusion.shape[0]):
+        tp, positives, predicted = confusion[c, c], confusion[c].sum(), confusion[:, c].sum()
+        tn = total - positives - predicted + tp
+        lines.append(f"class {c}: sensitivity {ratio(tp, positives)} "
+                     f"specificity {ratio(tn, total - positives)}")
+    return lines
 
 
 def cmd_cv(args) -> int:

@@ -16,12 +16,16 @@ A layer stores its parameters in the layout of the gate slab below: ``W``
 ``gru_step`` composes these from taped primitives; ``gru_layer_forward`` runs
 the whole sequence as one fused tape node with a hand-written
 backpropagation-through-time rule (checked against finite differences and
-against the step-composed path in the tests).  For its backward pass the
-node keeps the (T, B, n) input copy and two hidden-major state arrays: the
-gate slab ``A`` (T, 3m, B), its rows laid out z | r | h~ like the
-parameters, and the hidden buffer ``H`` (T+1, m, B) with ``H[0] = 0``, so
-``H[:-1]`` holds each step's previous state.  Each step's gate blocks and
+against the step-composed path in the tests).  The node works in (T, k, B)
+memory: the gate slab ``A`` (T, 3m, B), its rows laid out z | r | h~ like
+the parameters, and the hidden buffer ``H`` (T+1, m, B) with ``H[0] = 0``,
+so ``H[:-1]`` holds each step's previous state.  Each step's gate blocks and
 state are then contiguous rows, and every per-step op runs in place on them.
+The (B, m, T) output is a transposed view of ``H[1:]``, and the input is
+read as its (T, n, B) transpose: in place when it is another layer's output
+or a ``concat`` of them, copied when it is a conv block's output.  For its
+backward pass the node keeps that input, ``A`` and ``H``.  Its input
+gradient is a transposed view of a (T, n, B) array.
 
 A conv block, plain or inception, owns one kernel and one bias per branch
 and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
@@ -33,7 +37,8 @@ over the whole buffer; the (B, F, T_out) output is a view of it.  For
 backward the node keeps the padded rows, the kernels in (tap, channel)
 column order and the block buffer with its straddle rows, whose sign gates
 the ReLU: one gradient buffer is filled and masked, and one column sum gives
-every branch's bias gradient.
+every branch's bias gradient.  The input gradient is a transposed view of
+the padded gradient rows; the block below copies it into its own buffer.
 
 Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
 order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
@@ -299,7 +304,11 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
 
     One fused tape node: the forward loop stores gate activations and the
     backward rule replays them in reverse (full backpropagation through
-    time, no truncation).
+    time, no truncation).  The kernel works in (T, k, B) memory.  The input
+    is read as its (T, n, B) transpose, copied only when that is not
+    contiguous: another layer's output, or a ``concat`` of such outputs, is
+    read in place.  The output is a transposed view of the hidden buffer,
+    and the input gradient one of a (T, n, B) array.
     """
     if seq.data.ndim != 3:
         raise ShapeError(f"gru input must be (batch, channels, time), got {seq.shape}")
@@ -312,16 +321,18 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     W, U = p.W.data, p.U.data
     dtype = np.result_type(seq.data, W, U, p.b.data)   # the in-place ops write in this type
 
-    x_tbc = np.ascontiguousarray(seq.data.transpose(2, 0, 1))              # (T, B, n)
+    xt = np.ascontiguousarray(seq.data.transpose(2, 1, 0))                 # (T, n, B)
     flat = steps * batch
-    x2 = x_tbc.reshape(flat, in_ch)
     # Pre-activations plus bias, then gates, hidden-major so that a step's
     # gate blocks are contiguous rows.  Until its step the z | r rows hold
-    # -(W x + b), and the recurrent term adds -U h: negation is exact, so the
-    # sigmoid 1 / (1 + exp(-a)) starts at exp.
-    A = np.empty((steps, 3 * m, batch), dtype)
-    np.add((x2 @ W.T).reshape(steps, batch, 3 * m).transpose(0, 2, 1), p.b.data[:, None], out=A)
-    np.negative(A[:, :2 * m], out=A[:, :2 * m])
+    # -(W x + b), made from negated z | r rows of W and b, and the recurrent
+    # term adds -U h: negation is exact, so the sigmoid 1 / (1 + exp(-a))
+    # starts at exp.
+    neg_W, neg_b = W.astype(dtype), p.b.data.astype(dtype)
+    neg_W[:2 * m] *= -1
+    neg_b[:2 * m] *= -1
+    A = np.matmul(neg_W, xt)                                               # (T, 3m, B)
+    A += neg_b[:, None]
     H = np.zeros((steps + 1, m, batch), dtype)
     neg_U_zr, U_h = -U[:2 * m], U[2 * m:]
     zr_u, h_u, rh = (np.empty((k, batch), dtype) for k in (2 * m, m, m))
@@ -342,24 +353,24 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
             h_next *= z
             h_next += h
 
-    out_data = np.ascontiguousarray(H[1:].transpose(2, 1, 0))              # (B, m, T)
-
     def bwd(g):
-        # row-major (T*B, k) copies, like x2, for the GEMMs below
-        dA2 = np.ascontiguousarray(_gru_bptt(A, H, U, g).transpose(0, 2, 1)).reshape(flat, 3 * m)
+        dA = _gru_bptt(A, H, U, g)                                         # (T, 3m, B)
+        dseq = np.matmul(W.T, dA).transpose(2, 1, 0)                       # (B, n, T) view
+        # row-major (T*B, k) copies for the weight GEMMs
+        dA2 = np.ascontiguousarray(dA.transpose(0, 2, 1)).reshape(flat, 3 * m)
+        del dA
+        x2 = np.ascontiguousarray(xt.transpose(0, 2, 1)).reshape(flat, in_ch)
         hp2 = np.ascontiguousarray(H[:-1].transpose(0, 2, 1)).reshape(flat, m)
         rh2 = np.empty((flat, m), dtype)
         np.multiply(A[:, m:2 * m].transpose(0, 2, 1), hp2.reshape(steps, batch, m),
                     out=rh2.reshape(steps, batch, m))
-        dX = dA2 @ W                                                       # (T*B, n)
-        dseq = np.ascontiguousarray(dX.reshape(steps, batch, in_ch).transpose(1, 2, 0))
         # One GEMM per gate: a fused (3m, n) product sums in another order.
         dz2, dr2, dh2 = dA2[:, :m], dA2[:, m:2 * m], dA2[:, 2 * m:]
         dW = np.concatenate([dz2.T @ x2, dr2.T @ x2, dh2.T @ x2])
         dU = np.concatenate([dz2.T @ hp2, dr2.T @ hp2, dh2.T @ rh2])
         return dseq, dW, dU, dA2.sum(axis=0)
 
-    return make_op("gru_layer", (seq, p.W, p.U, p.b), out_data, bwd)
+    return make_op("gru_layer", (seq, p.W, p.U, p.b), H[1:].transpose(2, 1, 0), bwd)
 
 
 def conv1d_output_length(length: int, stride: int) -> int:
@@ -475,8 +486,8 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
         dseq = None
         if dpad is not None:
             d = dpad[:batch * rows_per * s].reshape(batch, rows_per * s, in_ch)
-            # (B, C, L) C-contiguous: a transposed view would reorder the bias sum below
-            dseq = np.ascontiguousarray(d[:, pad_left:pad_left + length].transpose(0, 2, 1))
+            # a view; the block below copies it into its own gradient buffer
+            dseq = d[:, pad_left:pad_left + length].transpose(0, 2, 1)
         return (dseq, *grads)
 
     return make_op("conv1d", (seq, *(t for _, t in block.tensors())), out_data, bwd)

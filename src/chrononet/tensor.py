@@ -3,7 +3,9 @@
 A :class:`Tensor` wraps a numpy float array (float32 for training, float64
 for gradient checking) in the layout of the op that made it: a conv block's
 (B, F, T) output is a transposed view of the first T rows per element of a
-(B, T', F) buffer.  While a :class:`Graph` is active, every operation appends
+(B, T', F) buffer, and a GRU layer's (B, m, T) output and input gradient are
+transposed views of (T, k, B) arrays.  :func:`concat` keeps its first
+input's memory order, so the concat of GRU outputs is one too.  While a :class:`Graph` is active, every operation appends
 one node to it; :func:`backward` replays the tape in reverse insertion order,
 which is a valid topological order by construction.
 
@@ -202,7 +204,8 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    """Join tensors along ``axis``; all other extents must match."""
+    """Join tensors along ``axis``; all other extents must match.  The
+    output has the first input's memory order."""
     if not tensors:
         raise ContractError("concat of zero tensors")
     ref = tensors[0].shape
@@ -213,7 +216,12 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             raise ShapeError(f"concat axis={axis}: off-axis shapes differ: {ref} vs {t.shape}")
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    datas = [t.data for t in tensors]
+    shape = list(ref)
+    shape[axis] = sum(sizes)
+    # in the first input's memory order: GRU outputs join into (T, k, B) memory
+    out_data = np.empty_like(datas[0], dtype=np.result_type(*datas), shape=shape)
+    np.concatenate(datas, axis=axis, out=out_data)
 
     def bwd(g):
         return tuple(np.split(g, offsets, axis=axis))

@@ -6,7 +6,7 @@ import pytest
 from chrononet import checkpoint as ckpt
 from chrononet import cli, training
 from chrononet.architectures import ARCHITECTURES, build, default_config
-from chrononet.cli import main
+from chrononet.cli import class_rates, main
 from chrononet.data import container
 from chrononet.data.edf import recording_from_arrays, write_edf
 from chrononet.tensor import Prng
@@ -342,6 +342,29 @@ def test_eval_prints_accuracy_and_confusion(tmp_path, capsys):
     assert out[1].startswith("true 0:") and out[2].startswith("true 1:")
     counts = [int(v) for line in out[1:3] for v in line.split(":")[1].split()]
     assert sum(counts) == 16
+
+
+def test_eval_prints_sensitivity_and_specificity_per_class(tmp_path, capsys):
+    data = synth_container(tmp_path)
+    assert run_train(tmp_path, data) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.cncp"), "--data", str(data)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 5 and sum(line.startswith("true ") for line in out) == 2
+    (a, b), (c, d) = ([int(v) for v in line.split(":")[1].split()] for line in out[1:3])
+    rates = [f"{x:.4f}" if y else "n/a" for x, y in
+             ((a / max(a + b, 1), a + b), (d / max(c + d, 1), c + d))]
+    assert out[3] == f"class 0: sensitivity {rates[0]} specificity {rates[1]}"
+    assert out[4] == f"class 1: sensitivity {rates[1]} specificity {rates[0]}"
+
+
+def test_class_rates_take_each_class_as_positive():
+    confusion = np.array([[5, 1, 0], [2, 6, 2], [0, 0, 0]])
+    assert class_rates(confusion) == [
+        "class 0: sensitivity 0.8333 specificity 0.8000",   # 5/6; (6+2)/10
+        "class 1: sensitivity 0.6000 specificity 0.8333",   # 6/10; 5/6
+        "class 2: sensitivity n/a specificity 0.8750",      # no positives; 14/16
+    ]
 
 
 def test_eval_channel_mismatch_names_both(tmp_path, capsys):

@@ -12,7 +12,7 @@ from chrononet.layers import (DenseGruStack, GruParams,
                               gru_layer_forward, gru_step,
                               inception_conv1d_forward, last_time_step,
                               linear_forward)
-from chrononet.tensor import Graph, Prng, Tensor, backward, tsum
+from chrononet.tensor import Graph, Prng, Tensor, backward, mul, tsum
 
 
 def sigmoid(x):
@@ -167,8 +167,9 @@ def test_gru_layer_errors():
 
 
 def test_gru_layer_keeps_input_copy_and_two_state_arrays():
-    # under a graph the backward closure holds the (T, B, n) input copy, the
-    # (T+1, m, B) hidden buffer and the (T, 3m, B) gate slab, nothing more
+    # under a graph the backward closure holds the (T, n, B) input copy, the
+    # (T+1, m, B) hidden buffer and the (T, 3m, B) gate slab, nothing more;
+    # the output is a view of the hidden buffer
     batch, n, steps, m = 8, 16, 200, 32
     p = GruParams.init(Prng(26), n, m)
     seq = Tensor(np.random.default_rng(26).normal(size=(batch, n, steps)).astype(np.float32),
@@ -182,7 +183,7 @@ def test_gru_layer_keeps_input_copy_and_two_state_arrays():
         tracemalloc.stop()
     assert len(g) == 1
     states = 4 * ((steps + 1) * batch * m + 3 * steps * batch * m)
-    assert kept < out.data.nbytes + seq.data.nbytes + states + 64 * 1024
+    assert kept < seq.data.nbytes + states + 64 * 1024
 
 
 def test_gru_layer_extreme_gate_biases_stay_finite_without_warnings():
@@ -206,25 +207,52 @@ def test_gru_layer_extreme_gate_biases_stay_finite_without_warnings():
 
 
 def test_gru_layer_ignores_input_memory_layout():
-    # the GRU's real input, a conv block's output, is a transposed view of
-    # (B, T, C) memory: it gives the same bits as a C-contiguous (B, C, T)
-    # array, and the input gradient comes back C-contiguous
+    # the GRU's real inputs are a conv block's output, a transposed view of
+    # (B, T, C) memory, and another layer's output, a transposed view of
+    # (T, C, B) memory: both give the same bits as a C-contiguous (B, C, T)
+    # array, and the input gradient is a transposed view of (T, C, B) memory
     rng = np.random.default_rng(28)
     for dtype in (np.float64, np.float32):
         p = GruParams.init(Prng(28), 5, 4, dtype)
         values = rng.normal(size=(3, 5, 7)).astype(dtype)
-        layouts = (values, np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1))
+        layouts = (values, np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1),
+                   np.ascontiguousarray(values.transpose(2, 1, 0)).transpose(2, 1, 0))
         gout = rng.normal(size=(3, 4, 7)).astype(dtype)
         runs = []
         for x in layouts:
             with Graph() as g:
                 out = gru_layer_forward(p, Tensor(x, requires_grad=True))
             grads = g.nodes[0].backward_fn(gout)
-            assert grads[0].flags.c_contiguous
+            assert grads[0].transpose(2, 1, 0).flags.c_contiguous
             runs.append([out.data, *grads])
-        for a, b in zip(*runs):
-            assert a.dtype == b.dtype == dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def closure_arrays(fn):
+    """The arrays a backward closure keeps, by name."""
+    cells = zip(fn.__code__.co_freevars, fn.__closure__)
+    return {name: c.cell_contents for name, c in cells if isinstance(c.cell_contents, np.ndarray)}
+
+
+def test_gru_stack_keeps_no_copy_of_a_layer_input():
+    # with dense wiring each layer reads the previous output, or the concat
+    # of the previous outputs, in place, and returns a view of its hidden
+    # buffer: only the first layer, fed (B, C, T) memory, copies its input
+    rng = np.random.default_rng(32)
+    stack = DenseGruStack.init(Prng(32), 6, [4, 3, 5], dense=True, dtype=np.float64)
+    seq = Tensor(rng.normal(size=(2, 6, 9)), requires_grad=True)
+    with Graph() as g:
+        out = dense_gru_forward(stack, seq)
+    assert [n.tag for n in g.nodes] == ["gru_layer", "gru_layer", "concat", "gru_layer"]
+    grus = [n for n in g.nodes if n.tag == "gru_layer"]
+    for node in grus:
+        kept = closure_arrays(node.backward_fn)
+        assert np.shares_memory(node.out.data, kept["H"])
+        assert np.shares_memory(kept["xt"], node.inputs[0].data) == (node is not grus[0])
+    assert out is grus[-1].out
 
 
 def test_gru_layer_backward_leaves_output_gradient_unchanged():
@@ -378,8 +406,7 @@ def test_inception_block_keeps_columns_and_output():
 def test_conv_block_ignores_input_memory_layout():
     # the same values as a C-contiguous (B, C, L) array and as a transposed
     # view of (B, L, C) memory give the same bits everywhere, and the input
-    # gradient comes back C-contiguous: a transposed view would reorder the
-    # bias sum of the block below
+    # gradient is a transposed view of channel-last memory
     rng = np.random.default_rng(30)
     for dtype in (np.float64, np.float32):
         for stride in (1, 2):
@@ -392,11 +419,47 @@ def test_conv_block_ignores_input_memory_layout():
                 with Graph() as g:
                     out = inception_conv1d_forward(block, Tensor(x, requires_grad=True))
                 grads = g.nodes[0].backward_fn(gout)
-                assert grads[0].flags.c_contiguous
+                assert all(rows.flags.c_contiguous for rows in grads[0].transpose(0, 2, 1))
                 runs.append([out.data, *grads])
             for a, b in zip(*runs):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+
+def copying(fn):
+    """A backward rule that hands on a C-contiguous copy of fn's input gradient."""
+    def bwd(g):
+        dseq, *rest = fn(g)
+        return (np.ascontiguousarray(dseq), *rest)
+    return bwd
+
+
+def test_conv_stack_gradients_do_not_follow_the_input_gradient_layout():
+    # the upper blocks hand the block below a view as its input gradient;
+    # handing on a C-contiguous copy instead gives the same bits everywhere
+    rng = np.random.default_rng(33)
+    for dtype in (np.float64, np.float32):
+        for kernels, stride in (((4,), 2), ((2, 4, 8), 2), ((2, 4, 8), 1)):
+            prng, blocks, ch = Prng(33), [], 3
+            for _ in range(3):
+                blocks.append(InceptionConvBlock.init(prng, ch, 4, kernels, stride, dtype))
+                ch = blocks[-1].out_channels
+            seq = Tensor(rng.normal(size=(4, 3, 37)).astype(dtype), requires_grad=True)
+            with Graph() as g:
+                hidden = [seq]
+                for block in blocks:
+                    hidden.append(inception_conv1d_forward(block, hidden[-1]))
+                loss = tsum(mul(hidden[-1], Tensor(rng.normal(size=hidden[-1].shape).astype(dtype))))
+            views = backward(loss, g)
+            assert not views[hidden[1]].flags.c_contiguous
+            for node in g.nodes[1:3]:
+                node.backward_fn = copying(node.backward_fn)
+            copies = backward(loss, g)
+            assert copies[hidden[1]].flags.c_contiguous
+            assert views.keys() == copies.keys()
+            for t, grad in views.items():
+                assert grad.dtype == copies[t].dtype == dtype
+                assert grad.tobytes() == copies[t].tobytes()
 
 
 def test_conv_backward_holds_no_tap_major_copy():

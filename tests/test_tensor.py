@@ -128,6 +128,31 @@ def test_concat_split_roundtrip():
         concat([Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2)))], axis=1)
 
 
+def test_concat_keeps_the_first_input_memory_order():
+    # GRU outputs are transposed views of (T, k, B) memory; their concat is
+    # one too, so the next layer reads it in place
+    rng = np.random.default_rng(1)
+    for first_order in ("time-major", "C"):
+        parts = [rng.normal(size=(7, k, 3)).transpose(2, 1, 0) for k in (2, 4, 1)]
+        if first_order == "C":
+            parts[0] = np.ascontiguousarray(parts[0])
+        tensors = [Tensor(p, requires_grad=True) for p in parts]
+        weights = Tensor(rng.normal(size=(3, 7, 7)))
+        with Graph() as g:
+            joined = concat(tensors, axis=1)
+            loss = tsum(mul(joined, weights))
+        assert np.array_equal(joined.data, np.concatenate(parts, axis=1))
+        if first_order == "C":
+            assert joined.data.flags.c_contiguous
+        else:
+            assert joined.data.transpose(2, 1, 0).flags.c_contiguous
+        grads = backward(loss, g)
+        for t, (start, stop) in zip(tensors, [(0, 2), (2, 6), (6, 7)]):
+            assert np.array_equal(grads[t], weights.data[:, start:stop])
+    mixed = concat([Tensor(np.ones((2, 1), np.float32)), Tensor(np.ones((2, 1)))], axis=1)
+    assert mixed.dtype == np.float64
+
+
 def test_slice_and_reshape():
     t = Tensor(np.arange(12.0).reshape(3, 4))
     s = slice_axis(t, 1, 1, 3)
