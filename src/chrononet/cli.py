@@ -21,7 +21,7 @@ from .errors import (ConfigError, ContractError, DataError, FormatError,
 from .tensor import Prng
 from .training import (TrainConfig, format_metrics_row, check_data, cross_validate,
                        predict, summarize_folds, train, write_metrics_csv,
-                       METRICS_HEADER)
+                       METRICS_HEADER, _keep_freed_heap)
 
 
 class _UsageError(Exception):
@@ -187,6 +187,7 @@ def cmd_eval(args) -> int:
     if len(dataset) == 0:
         raise ContractError("cannot evaluate an empty dataset")
     k = model.config.num_classes
+    _keep_freed_heap()   # as in train: predict's freed slabs stay in the heap
     preds = predict(model, dataset.samples)
     accuracy = float((preds == dataset.labels).mean())
     print(f"accuracy {accuracy:.4f}")

@@ -32,8 +32,12 @@ and a single stride.  It runs as one tape node tagged ``conv1d`` that pads
 its input once, along time in channel-last memory, and runs each branch as a
 few GEMMs on overlapping row views of the padded rows, building no window
 columns (Cho & Brand 2017, MEC).  Each branch writes its pre-activation plus
-bias into its columns of one channel-last block buffer, and one ReLU runs
-over the whole buffer; the (B, F, T_out) output is a view of it.  For
+bias into its columns of one channel-last block buffer, and a ReLU runs over
+it; the (B, F, T_out) output is a view of it.  The buffer is filled in row
+tiles of ``CONV_TILE_ROWS`` to ``2 * CONV_TILE_ROWS`` rows, each run through
+GEMMs, bias and ReLU while it is in cache, through one contiguous scratch
+allocated once per call.  No tile is shorter than that unless the buffer is:
+a short product can take another BLAS path, with other bits.  For
 backward the node keeps the padded rows, the kernels in (tap, channel)
 column order and the block buffer with its straddle rows, whose sign gates
 the ReLU: one gradient buffer is filled and masked, and one column sum gives
@@ -63,6 +67,10 @@ from .tensor import (
     sub,
     tanh,
 )
+
+# Rows per tile of a conv block's forward: one tile's buffer rows and
+# scratch stay in L2 from the GEMMs through bias and ReLU.
+CONV_TILE_ROWS = 2048
 
 
 def glorot_uniform(prng: Prng, shape, fan_in: int, fan_out: int, dtype=np.float32) -> np.ndarray:
@@ -283,18 +291,20 @@ def _gru_bptt(A: np.ndarray, H: np.ndarray, U: np.ndarray, g: np.ndarray) -> np.
     dC *= Z
     dH = g.transpose(2, 1, 0).copy()       # (T, m, B); a copy, as the loop writes to it
     carry, drh = np.zeros_like(H[0]), np.empty_like(H[0])
+    # call forms as in the forward loop
+    dot_h, dot_zr, add, multiply = U_h_t.dot, U_zr_t.dot, np.add, np.multiply
     for dz, dr, dzr, dc, dh, omz, r in zip(dZ[::-1], dR[::-1], dA[::-1, :2 * m], dC[::-1],
                                            dH[::-1], one_minus_z[::-1], R[::-1]):
-        dh += carry
-        dc *= dh
-        np.dot(U_h_t, dc, out=drh)
-        dr *= drh
-        dz *= dh
-        np.dot(U_zr_t, dzr, out=carry)                # U_zr' dzr + dh (1 - z) + drh r
-        dh *= omz
-        carry += dh
-        drh *= r
-        carry += drh
+        add(dh, carry, dh)
+        multiply(dc, dh, dc)
+        dot_h(dc, drh)
+        multiply(dr, drh, dr)
+        multiply(dz, dh, dz)
+        dot_zr(dzr, carry)                            # U_zr' dzr + dh (1 - z) + drh r
+        multiply(dh, omz, dh)
+        add(carry, dh, carry)
+        multiply(drh, r, drh)
+        add(carry, drh, carry)
     return dA
 
 
@@ -337,21 +347,28 @@ def gru_layer_forward(p: GruParams, seq: Tensor) -> Tensor:
     neg_U_zr, U_h = -U[:2 * m], U[2 * m:]
     zr_u, h_u, rh = (np.empty((k, batch), dtype) for k in (2 * m, m, m))
     one = np.ones((), dtype)   # a 0-d operand dispatches faster than a Python float
+    # The step is bound by call overhead on small blocks.  The cheapest call
+    # forms, with the same ops: ufuncs through local names with a positional
+    # out, products through bound ``ndarray.dot``, which skips np.dot's
+    # dispatch layer.
+    dot_zr, dot_h = neg_U_zr.dot, U_h.dot
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    exp, reciprocal, tanh_ = np.exp, np.reciprocal, np.tanh
     # exp overflows to inf for a pre-activation below about -88 (f32); that
     # gives 0, the exact limit
     with np.errstate(over="ignore"):
         for z, r, zr, cand, h, h_next in zip(A[:, :m], A[:, m:2 * m], A[:, :2 * m],
                                              A[:, 2 * m:], H, H[1:]):
-            zr += np.dot(neg_U_zr, h, out=zr_u)
-            np.exp(zr, out=zr)
-            zr += one
-            np.reciprocal(zr, out=zr)
-            np.multiply(r, h, out=rh)
-            cand += np.dot(U_h, rh, out=h_u)
-            np.tanh(cand, out=cand)
-            np.subtract(cand, h, out=h_next)                # h + z (h~ - h)
-            h_next *= z
-            h_next += h
+            add(zr, dot_zr(h, zr_u), zr)
+            exp(zr, zr)
+            add(zr, one, zr)
+            reciprocal(zr, zr)
+            multiply(r, h, rh)
+            add(cand, dot_h(rh, h_u), cand)
+            tanh_(cand, cand)
+            subtract(cand, h, h_next)                       # h + z (h~ - h)
+            multiply(h_next, z, h_next)
+            add(h_next, h, h_next)
 
     def bwd(g):
         dA = _gru_bptt(A, H, U, g)                                         # (T, 3m, B)
@@ -394,9 +411,20 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
     window form one row, and window t of element b starts in row
     b*rows_per + off//s + t.  So a branch is ceil(k/s) GEMMs on contiguous
     row blocks, summed.  Each branch adds its bias into its columns of one
-    (B*rows_per, F) buffer, and one ReLU runs over the buffer.  The rows
-    that straddle two elements are computed and kept there, out of the
+    (B*rows_per, F) buffer, and a ReLU runs over the buffer.  The rows that
+    straddle two elements are computed and kept there, out of the
     (B, F, T_out) view that is the output.
+
+    The buffer's n rows are filled in max(1, n // CONV_TILE_ROWS) tiles of
+    near-equal size.  Per tile, each branch runs its GEMMs on the tile's rows
+    into a contiguous scratch, sums them in chunk order and adds its bias
+    into its columns of the tile; one ReLU then runs over the tile while it
+    is still in L2.  The scratch pair, tile by widest branch, is allocated
+    once per call.  So every tile holds at least min(n, CONV_TILE_ROWS)
+    rows: a row's bits follow the BLAS path of its product, and a short
+    product takes another one, gemv for 1 row, and on AVX-512 OpenBLAS's
+    small-matrix kernels up to about 1200 outputs.  The bits are then those
+    of one GEMM over all n rows.
 
     Under a graph the node keeps the padded rows and that buffer.  Its
     backward fills one (B, rows_per, F) gradient from the output gradient,
@@ -442,20 +470,32 @@ def inception_conv1d_forward(block: InceptionConvBlock, seq: Tensor) -> Tensor:
             yield rows[r0 + u:r0 + u + n, :c1 - c0], c0, c1
 
     # every branch's pre-activation plus bias in its columns of one
-    # channel-last buffer, straddle rows included, then one ReLU over it all
+    # channel-last buffer, straddle rows included, then ReLU, a row tile at
+    # a time; no tile is shorter than min(n, CONV_TILE_ROWS) rows
     F = block.out_channels
     act = np.empty((n, F), seq.dtype)
+    tiles = max(1, n // CONV_TILE_ROWS)
+    edges = [n * i // tiles for i in range(tiles + 1)]
+    products = []   # per branch: first channel, width, bias, (row block, kernel columns)s
     for (w, lo, off, wt), b in zip(branches, block.biases):
         out_ch, _, k = w.shape
-        pre = tmp = None
-        for v, c0, c1 in chunks(padded, off, k):
-            if pre is None:
-                pre = v @ wt[:, c0:c1].T
-            else:
-                tmp = np.matmul(v, wt[:, c0:c1].T, out=tmp)
+        products.append((lo, out_ch, b.data,
+                         [(v, wt[:, c0:c1].T) for v, c0, c1 in chunks(padded, off, k)]))
+    # one contiguous scratch pair per call; a branch's tile is a prefix of it
+    size = -(-n // tiles) * max(w.shape[0] for w in block.kernels)
+    dtype = np.result_type(padded, *(wt for *_, wt in branches))
+    pre_buf, tmp_buf = np.empty(size, dtype), np.empty(size, dtype)
+    for r0, r1 in zip(edges, edges[1:]):
+        tile = act[r0:r1]
+        for lo, out_ch, b, gemms in products:
+            pre = pre_buf[:(r1 - r0) * out_ch].reshape(r1 - r0, out_ch)
+            tmp = tmp_buf[:(r1 - r0) * out_ch].reshape(r1 - r0, out_ch)
+            np.matmul(gemms[0][0][r0:r1], gemms[0][1], out=pre)
+            for v, wc in gemms[1:]:
+                np.matmul(v[r0:r1], wc, out=tmp)
                 pre += tmp
-        np.add(pre, b.data, out=act[:, lo:lo + out_ch])
-    np.maximum(act, 0.0, out=act)
+            np.add(pre, b, out=tile[:, lo:lo + out_ch])
+        np.maximum(tile, 0.0, out=tile)
     out_data = act.reshape(batch, rows_per, F)[:, :t_out].transpose(0, 2, 1)
 
     def bwd(g):

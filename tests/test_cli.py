@@ -358,6 +358,17 @@ def test_eval_prints_sensitivity_and_specificity_per_class(tmp_path, capsys):
     assert out[4] == f"class 1: sensitivity {rates[1]} specificity {rates[0]}"
 
 
+def test_eval_keeps_freed_heap_before_predict(tmp_path, monkeypatch):
+    data = synth_container(tmp_path)
+    assert run_train(tmp_path, data) == 0
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("heap"))
+    monkeypatch.setattr(cli, "predict", lambda model, x: calls.append("predict") or
+                        training.predict(model, x))
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.cncp"), "--data", str(data)]) == 0
+    assert calls == ["heap", "predict"]
+
+
 def test_class_rates_take_each_class_as_positive():
     confusion = np.array([[5, 1, 0], [2, 6, 2], [0, 0, 0]])
     assert class_rates(confusion) == [

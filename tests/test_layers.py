@@ -269,6 +269,118 @@ def test_gru_layer_backward_leaves_output_gradient_unchanged():
         assert np.array_equal(gout, before)
 
 
+def operator_form_gru(p, x, gout):
+    """The GRU layer node's forward and backward written with in-place
+    operators and keyword ``out``: the node's ops in the node's order, so it
+    must match this byte for byte.  Returns (out, dx, dW, dU, db)."""
+    W, U = p.W.data, p.U.data
+    batch, n, steps = x.shape
+    m, dtype = p.hidden_size, x.dtype
+    xt = np.ascontiguousarray(x.transpose(2, 1, 0))
+    neg_W, neg_b = W.copy(), p.b.data.copy()
+    neg_W[:2 * m] *= -1
+    neg_b[:2 * m] *= -1
+    A = np.matmul(neg_W, xt)
+    A += neg_b[:, None]
+    H = np.zeros((steps + 1, m, batch), dtype)
+    neg_U_zr = -U[:2 * m]
+    zr_u, h_u, rh = (np.empty((k, batch), dtype) for k in (2 * m, m, m))
+    one = np.ones((), dtype)
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            z, r, zr, cand, h, h_next = (A[t, :m], A[t, m:2 * m], A[t, :2 * m], A[t, 2 * m:],
+                                         H[t], H[t + 1])
+            zr += np.dot(neg_U_zr, h, out=zr_u)
+            np.exp(zr, out=zr)
+            zr += one
+            np.reciprocal(zr, out=zr)
+            np.multiply(r, h, out=rh)
+            cand += np.dot(U[2 * m:], rh, out=h_u)
+            np.tanh(cand, out=cand)
+            np.subtract(cand, h, out=h_next)
+            h_next *= z
+            h_next += h
+    Z, R, C, Hp = A[:, :m], A[:, m:2 * m], A[:, 2 * m:], H[:-1]
+    dA = np.empty_like(A)
+    dZ, dR, dC = dA[:, :m], dA[:, m:2 * m], dA[:, 2 * m:]
+    one_minus_z = np.subtract(1.0, Z)
+    np.subtract(C, Hp, out=dZ)
+    dZ *= Z
+    dZ *= one_minus_z
+    np.subtract(1.0, R, out=dR)
+    dR *= R
+    dR *= Hp
+    np.multiply(C, C, out=dC)
+    np.subtract(1.0, dC, out=dC)
+    dC *= Z
+    dH = gout.transpose(2, 1, 0).copy()
+    U_zr_t, U_h_t = np.ascontiguousarray(U[:2 * m].T), np.ascontiguousarray(U[2 * m:].T)
+    carry, drh = np.zeros((m, batch), dtype), np.empty((m, batch), dtype)
+    for t in reversed(range(steps)):
+        dh, dc, dr, dz = dH[t], dC[t], dR[t], dZ[t]
+        dh += carry
+        dc *= dh
+        np.dot(U_h_t, dc, out=drh)
+        dr *= drh
+        dz *= dh
+        np.dot(U_zr_t, dA[t, :2 * m], out=carry)
+        dh *= one_minus_z[t]
+        carry += dh
+        drh *= R[t]
+        carry += drh
+    dx = np.matmul(W.T, dA).transpose(2, 1, 0)
+    dA2 = np.ascontiguousarray(dA.transpose(0, 2, 1)).reshape(steps * batch, 3 * m)
+    x2 = np.ascontiguousarray(xt.transpose(0, 2, 1)).reshape(steps * batch, n)
+    hp2 = np.ascontiguousarray(Hp.transpose(0, 2, 1)).reshape(steps * batch, m)
+    rh2 = np.ascontiguousarray((R * Hp).transpose(0, 2, 1)).reshape(steps * batch, m)
+    dz2, dr2, dh2 = dA2[:, :m], dA2[:, m:2 * m], dA2[:, 2 * m:]
+    dW = np.concatenate([dz2.T @ x2, dr2.T @ x2, dh2.T @ x2])
+    dU = np.concatenate([dz2.T @ hp2, dr2.T @ hp2, dh2.T @ rh2])
+    return H[1:].transpose(2, 1, 0), dx, dW, dU, dA2.sum(axis=0)
+
+
+def assert_bytes_equal(got, want, case):
+    for a, r in zip(got, want, strict=True):
+        assert a.dtype == r.dtype and a.shape == r.shape, case
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(r).tobytes(), case
+
+
+def test_gru_layer_matches_operator_form_byte_for_byte():
+    # the node calls its step ops positionally through local names and its
+    # products through bound ndarray.dot; the bits must be those of the
+    # same ops written as operators
+    rng = np.random.default_rng(44)
+    for dtype in (np.float32, np.float64):
+        for batch in (1, 3, 8):
+            for steps in (1, 5, 40):
+                p = GruParams.init(Prng(44), 5, 6, dtype)
+                p.b.data[:] = rng.normal(0.0, 0.5, p.b.shape)
+                x = rng.normal(size=(batch, 5, steps)).astype(dtype)
+                gout = rng.normal(size=(batch, 6, steps)).astype(dtype)
+                with Graph() as g:
+                    out = gru_layer_forward(p, Tensor(x, requires_grad=True))
+                assert_bytes_equal([out.data, *g.nodes[0].backward_fn(gout)],
+                                   operator_form_gru(p, x, gout), (dtype, batch, steps))
+
+
+def test_dense_gru_stack_layers_match_operator_form_byte_for_byte():
+    # inside a dense stack each layer reads the previous output or a concat
+    # of them in place; every layer node still gives the operator form's bits
+    rng = np.random.default_rng(45)
+    for dtype in (np.float32, np.float64):
+        stack = DenseGruStack.init(Prng(45), 6, [4, 3, 5], dense=True, dtype=dtype)
+        seq = Tensor(rng.normal(size=(3, 6, 12)).astype(dtype), requires_grad=True)
+        with Graph() as g:
+            dense_gru_forward(stack, seq)
+        nodes = [node for node in g.nodes if node.tag == "gru_layer"]
+        assert len(nodes) == 3
+        for k, (node, p) in enumerate(zip(nodes, stack.layers)):
+            x = node.inputs[0].data
+            gout = rng.normal(size=node.out.shape).astype(dtype)
+            assert_bytes_equal([node.out.data, *node.backward_fn(gout)],
+                               operator_form_gru(p, x, gout), (dtype, k))
+
+
 def test_gru_layer_zero_params_zero_output():
     p = GruParams.zeros(2, 3)
     seq = Tensor(np.random.default_rng(8).normal(size=(2, 2, 4)))
@@ -663,6 +775,20 @@ def per_branch_conv(block, x, gout):
     return out, dx.transpose(0, 2, 1), grads
 
 
+def check_conv_block_against_per_branch(block, x, gout, case):
+    """The block's output and gradients, with the input gradient on and off,
+    byte-equal to ``per_branch_conv``'s, in the input's dtype."""
+    ref_out, ref_dx, ref_grads = per_branch_conv(block, x, gout)
+    assert ref_out.dtype == x.dtype, case
+    for req in (False, True):
+        with Graph() as g:
+            out = inception_conv1d_forward(block, Tensor(x, requires_grad=req))
+        dx, *grads = g.nodes[0].backward_fn(gout)
+        assert (dx is None) == (not req), case
+        assert_bytes_equal([out.data, *([dx] if req else []), *grads],
+                           [ref_out, *([ref_dx] if req else []), *ref_grads], (*case, req))
+
+
 def test_conv_block_matches_per_branch_passes_byte_for_byte():
     # one bias/ReLU pass and one mask/bias-sum pass over the block's buffer
     # give the bits of one pass per branch
@@ -678,20 +804,52 @@ def test_conv_block_matches_per_branch_passes_byte_for_byte():
                     x = rng.normal(size=(2, 3, length)).astype(dtype)
                     gout = rng.normal(size=(2, block.out_channels,
                                             conv1d_output_length(length, stride))).astype(dtype)
-                    ref_out, ref_dx, ref_grads = per_branch_conv(block, x, gout)
-                    for req in (False, True):
-                        with Graph() as g:
-                            out = inception_conv1d_forward(block, Tensor(x, requires_grad=req))
-                        dx, *grads = g.nodes[0].backward_fn(gout)
-                        case = (dtype, kernels, stride, length, req)
-                        assert out.data.dtype == dtype and out.shape == ref_out.shape, case
-                        assert np.ascontiguousarray(out.data).tobytes() == ref_out.tobytes(), case
-                        assert (dx is None) == (not req), case
-                        if req:
-                            assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes(), case
-                        for a, r in zip(grads, ref_grads, strict=True):
-                            assert a.dtype == dtype and a.shape == r.shape, case
-                            assert a.tobytes() == np.ascontiguousarray(r).tobytes(), case
+                    check_conv_block_against_per_branch(block, x, gout,
+                                                        (dtype, kernels, stride, length))
+
+
+def test_conv_block_row_tiles_match_per_branch_passes_byte_for_byte(monkeypatch):
+    # tiles of a few rows over buffers that span many tiles: 32 channels at
+    # stride 2 make chunks of K = 64, where a 1-row product (numpy's gemv
+    # path) differs in bits from the same row of a GEMM.  A kernel of 2 at
+    # stride 2 and an odd length puts the buffer's last row in the output.
+    # Each reference product stays under ~1200 outputs, the size OpenBLAS's
+    # small-matrix kernels serve on AVX-512, so it takes a tile's path.
+    from chrononet import layers
+    rng = np.random.default_rng(46)
+    remainders = set()
+    for tile in (2, 3, 5):
+        monkeypatch.setattr(layers, "CONV_TILE_ROWS", tile)
+        for dtype in (np.float32, np.float64):
+            for kernels in ((2,), (4,), (2, 4, 8)):
+                for stride in (1, 2, 3):
+                    for length in (9, 16, 23):
+                        block = InceptionConvBlock.init(Prng(46 + stride), 32, 4, kernels,
+                                                        stride, dtype)
+                        for b in block.biases:
+                            b.data[:] = rng.normal(0.0, 0.1, b.shape)
+                        x = rng.normal(size=(2, 32, length)).astype(dtype)
+                        gout = rng.normal(size=(2, block.out_channels, conv1d_output_length(
+                            length, stride))).astype(dtype)
+                        n = 2 * conv1d_output_length(length + max(kernels) - 1, stride)
+                        remainders.add(n % tile)
+                        check_conv_block_against_per_branch(
+                            block, x, gout, (tile, dtype, kernels, stride, length))
+    assert {1, 2} <= remainders
+
+
+def test_conv_block_default_tiles_match_per_branch_passes_byte_for_byte():
+    # 4101 rows: two 2048-row tiles would leave a 5-row remainder, whose
+    # product takes OpenBLAS's small-matrix path on AVX-512 and gives other
+    # bits than the same rows of one 4101-row GEMM
+    rng = np.random.default_rng(47)
+    for dtype in (np.float32, np.float64):
+        block = InceptionConvBlock.init(Prng(47), 32, 32, (2, 4, 8), 2, dtype)
+        for b in block.biases:
+            b.data[:] = rng.normal(0.0, 0.1, b.shape)
+        x = rng.normal(size=(1, 32, 8194)).astype(dtype)
+        gout = rng.normal(size=(1, block.out_channels, 4097)).astype(dtype)
+        check_conv_block_against_per_branch(block, x, gout, (dtype,))
 
 
 # ---------------------------------------------------------------------------
