@@ -183,12 +183,3 @@ def conv_stage_shapes(config: ModelConfig, length: int) -> list[tuple[int, int]]
         shapes.append((spec.filters_per_kernel * len(spec.kernel_lengths), t))
     return shapes
 
-
-def parameter_count(model: Model) -> int:
-    """Exact number of learnable scalars.
-
-    Closed form per stage: a conv branch with c inputs, f filters and kernel
-    length k holds f*c*k + f scalars; a GRU layer with input n and hidden m
-    holds 3*(m*n + m*m + m); the readout from n to K holds K*n + K.
-    """
-    return sum(t.size for _, t in model.named_parameters())

@@ -254,6 +254,8 @@ def recording_from_arrays(arrays, labels, rate_hz: float, patient_id: str = "X",
     spr = int(round(rate_hz))
     if abs(spr - rate_hz) > 1e-9:
         raise DataError(f"rate {rate_hz} is not a whole number of samples per second")
+    if not arrays:
+        raise DataError("no channels")
     n = arrays[0].shape[0]
     if any(a.shape != (n,) for a in arrays):
         raise DataError("all channels must have equal length")

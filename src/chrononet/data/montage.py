@@ -35,10 +35,6 @@ class Recording:
     def samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.samples / self.rate
-
 
 def parse_montage(text: str) -> list[MontagePair]:
     pairs = []

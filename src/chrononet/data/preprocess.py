@@ -154,7 +154,7 @@ def extract_windows(rec: Recording, split: str) -> list[np.ndarray]:
         raise DataError(f"session {rec.session_id!r}: sampled at {rec.rate} Hz, "
                         f"windowing requires {TARGET_HZ} Hz")
     if split == "test" and count < TEST_WINDOWS:
-        raise DataError(f"session {rec.session_id!r}: {rec.duration:.1f} s is shorter "
+        raise DataError(f"session {rec.session_id!r}: {rec.samples / rec.rate:.1f} s is shorter "
                         f"than one {WINDOW_SECONDS} s test window")
     w = WINDOW_SAMPLES
     return [rec.data[:, i * w:(i + 1) * w].astype(np.float32) for i in range(count)]

@@ -20,8 +20,6 @@ from .container import Dataset
 MOTIF_WIDTH = 4
 MOTIF_SPACING = 32
 ENVELOPE_PERIOD = 64.0
-JOINT_FLOOR = 0.95      # self-check: both cues together decode at least this
-SINGLE_CEILING = 0.70   # self-check: either cue alone decodes at most this
 
 
 @dataclass
@@ -141,12 +139,6 @@ class SelfCheck:
     joint_accuracy: float
     motif_accuracy: float
     envelope_accuracy: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.joint_accuracy >= JOINT_FLOOR
-                and self.motif_accuracy <= SINGLE_CEILING
-                and self.envelope_accuracy <= SINGLE_CEILING)
 
 
 def _majority_map_accuracy(feature: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -83,46 +83,16 @@ def _block_linear(prng: Prng):
     return loss_fn, [("W", w), ("b", b), ("x", x)]
 
 
-def _block_conv1d(prng: Prng):
-    block = L.InceptionConvBlock.init(prng, 3, 4, (3,), 2, dtype=np.float64)
-    seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 12)), requires_grad=True)
-    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
-    named = [("conv.kernels", block.kernels[0]), ("conv.bias", block.biases[0]), ("seq", seq)]
-    return loss_fn, named
-
-
-def _block_inception(prng: Prng):
-    block = L.InceptionConvBlock.init(prng, 2, 2, (2, 4, 8), 2, dtype=np.float64)
-    seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 12)), requires_grad=True)
-    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
-    named = block.tensors() + [("seq", seq)]
-    return loss_fn, named
-
-
-def _block_inception_uneven(prng: Prng):
-    # stride 3 splits the length-5 kernel into a full and a partial chunk of
-    # taps, and puts the length-2 kernel's windows at an odd phase
-    block = L.InceptionConvBlock.init(prng, 2, 2, (5, 2), 3, dtype=np.float64)
-    seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 11)), requires_grad=True)
-    loss_fn = _projection(prng, lambda: L.inception_conv1d_forward(block, seq))
-    named = block.tensors() + [("seq", seq)]
-    return loss_fn, named
-
-
-def _block_gru_layer(prng: Prng):
-    p = L.GruParams.init(prng, 3, 4, dtype=np.float64)
-    seq = Tensor(prng.normal(0.0, 1.0, (2, 3, 6)), requires_grad=True)
-    loss_fn = _projection(prng, lambda: L.gru_layer_forward(p, seq))
-    named = [(f"gru.{n}", t) for n, t in p.tensors()] + [("seq", seq)]
-    return loss_fn, named
-
-
-def _block_dense_stack(prng: Prng):
-    stack = L.DenseGruStack.init(prng, 2, [3, 4, 5], dense=True, dtype=np.float64)
-    seq = Tensor(prng.normal(0.0, 1.0, (2, 2, 6)), requires_grad=True)
-    loss_fn = _projection(prng, lambda: L.dense_gru_forward(stack, seq))
-    named = stack.tensors() + [("seq", seq)]
-    return loss_fn, named
+def _sequence_block(init, op: str, channels: int, length: int):
+    """A block builder for the ``layers`` function named ``op``, applied to
+    ``init(prng)``'s parameters and a (2, channels, length) sequence. The
+    function is looked up when the loss runs, so a patched one is checked."""
+    def make(prng: Prng):
+        params = init(prng)
+        seq = Tensor(prng.normal(0.0, 1.0, (2, channels, length)), requires_grad=True)
+        loss_fn = _projection(prng, lambda: getattr(L, op)(params, seq))
+        return loss_fn, params.tensors() + [("seq", seq)]
+    return make
 
 
 def _block_end_to_end(prng: Prng):
@@ -144,12 +114,20 @@ def _block_end_to_end(prng: Prng):
 
 BLOCKS = [
     ("linear", _block_linear),
-    ("conv1d", _block_conv1d),
-    ("inception_k2_4_8", _block_inception),
-    ("gru_layer", _block_gru_layer),
-    ("dense_gru_stack_L3", _block_dense_stack),
+    ("conv1d", _sequence_block(lambda prng: L.InceptionConvBlock.init(
+        prng, 3, 4, (3,), 2, dtype=np.float64), "inception_conv1d_forward", 3, 12)),
+    ("inception_k2_4_8", _sequence_block(lambda prng: L.InceptionConvBlock.init(
+        prng, 2, 2, (2, 4, 8), 2, dtype=np.float64), "inception_conv1d_forward", 2, 12)),
+    ("gru_layer", _sequence_block(lambda prng: L.GruParams.init(
+        prng, 3, 4, dtype=np.float64), "gru_layer_forward", 3, 6)),
+    ("dense_gru_stack_L3", _sequence_block(lambda prng: L.DenseGruStack.init(
+        prng, 2, [3, 4, 5], dense=True, dtype=np.float64), "dense_gru_forward", 2, 6)),
     ("chrononet_end_to_end", _block_end_to_end),
-    ("inception_k5_2_s3", _block_inception_uneven),   # last: the draws above stay as they were
+    # last, so the draws above stay as they were; stride 3 splits the length-5
+    # kernel into a full and a partial chunk of taps, and puts the length-2
+    # kernel's windows at an odd phase
+    ("inception_k5_2_s3", _sequence_block(lambda prng: L.InceptionConvBlock.init(
+        prng, 2, 2, (5, 2), 3, dtype=np.float64), "inception_conv1d_forward", 2, 11)),
 ]
 
 

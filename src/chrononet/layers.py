@@ -250,7 +250,7 @@ def _gate_affine(p: GruParams, gate: int, x: Tensor, h: Tensor) -> Tensor:
     rows of that gate sliced on the tape."""
     lo, hi = gate * p.hidden_size, (gate + 1) * p.hidden_size
     W, U, b = (slice_axis(t, 0, lo, hi) for t in (p.W, p.U, p.b))
-    return add(add(matmul(x, W, transpose_b=True), matmul(h, U, transpose_b=True)), b)
+    return add(add(matmul(x, W), matmul(h, U)), b)
 
 
 def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:

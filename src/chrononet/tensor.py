@@ -43,10 +43,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
@@ -179,28 +175,17 @@ def tanh(a: Tensor) -> Tensor:
 # linear algebra and shape ops
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """2-D matrix product ``a @ b`` (or ``a @ b.T`` when transpose_b)."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product ``a @ b.T``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    inner_b = b.shape[1] if transpose_b else b.shape[0]
-    if a.shape[1] != inner_b:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}"
-                         + (" (transposed)" if transpose_b else ""))
-    if transpose_b:
-        out_data = a.data @ b.data.T
-
-        def bwd(g):
-            return g @ b.data, g.T @ a.data
-
-        return make_op("matmul_t", (a, b), out_data, bwd)
-
-    out_data = a.data @ b.data
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}.T")
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data, g.T @ a.data
 
-    return make_op("matmul", (a, b), out_data, bwd)
+    return make_op("matmul", (a, b), a.data @ b.data.T, bwd)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

@@ -191,8 +191,9 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 def check_data(config: ModelConfig, data, name: str) -> tuple[np.ndarray, np.ndarray]:
     """``data`` as (samples, int64 labels), if a ``config`` model accepts it:
     (N, channels, length) samples with the model's channels, one label per
-    sample, each one of the model's classes. Errors name the data ``name``."""
-    x, y = np.asarray(data[0]), np.asarray(data[1], dtype=np.int64)
+    sample, each one of the model's classes. Errors name the data ``name``
+    and a bad label: the first fraction or NaN, else the extreme one."""
+    x, y = np.asarray(data[0]), np.asarray(data[1], dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"{name}: samples must be (N, channels, length), got {x.shape}")
     if y.shape != x.shape[:1]:
@@ -201,10 +202,11 @@ def check_data(config: ModelConfig, data, name: str) -> tuple[np.ndarray, np.nda
         raise ConfigError(f"model expects {config.input_channels} channels, "
                           f"{name} has {x.shape[1]}")
     k = config.num_classes
-    if y.size and (y.min() < 0 or y.max() >= k):
-        bad = y.max() if y.max() >= k else y.min()
-        raise DataError(f"{name}: label {bad} outside the model's {k} classes")
-    return x, y
+    bad = np.flatnonzero(y != np.floor(y))  # fractions and NaN
+    if bad.size or y.size and (y.min() < 0 or y.max() >= k):
+        v = y[bad[0]] if bad.size else y.max() if y.max() >= k else y.min()
+        raise DataError(f"{name}: label {v:g} outside the model's {k} classes")
+    return x, y.astype(np.int64)
 
 
 def _keep_freed_heap() -> None:
@@ -354,8 +356,6 @@ def kfold(groups, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
 class FoldResult:
     fold: int
     test_acc: float
-    train_size: int
-    test_size: int
 
 
 def _run_fold(payload) -> FoldResult:
@@ -364,7 +364,7 @@ def _run_fold(payload) -> FoldResult:
     fold_cfg = replace(train_cfg, seed=Prng(train_cfg.seed).derive(fold_idx))
     train(model, (x[train_idx], y[train_idx]), fold_cfg)
     acc = evaluate(model, (x[test_idx], y[test_idx]))
-    return FoldResult(fold_idx, acc, len(train_idx), len(test_idx))
+    return FoldResult(fold_idx, acc)
 
 
 def cross_validate(model_cfg: ModelConfig, train_cfg: TrainConfig, data, groups,

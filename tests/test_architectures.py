@@ -3,7 +3,7 @@ import pytest
 
 from chrononet.architectures import (ARCHITECTURES, ConvBlockSpec, ModelConfig,
                                      build, conv_stage_shapes, default_config,
-                                     forward, parameter_count)
+                                     forward)
 from chrononet.errors import ConfigError, ShapeError
 from chrononet.layers import dense_gru_forward, last_time_step, linear_forward
 from chrononet.tensor import Prng, Tensor
@@ -156,13 +156,17 @@ def test_zero_readout_gives_constant_logits():
     assert np.all(out.data == 0.0)
 
 
+def _parameter_count(model):
+    return sum(t.data.size for _, t in model.named_parameters())
+
+
 def test_parameter_count_closed_form():
     # single GRU layer 96 -> 2: 3*(2*96 + 2*2 + 2) = 594
     cfg = ModelConfig(architecture="crnn", input_channels=1,
                       conv_blocks=[ConvBlockSpec((1,), 1, 1)],
                       gru_widths=[2], num_classes=2)
     # conv: 1*1*1 + 1 = 2 ; gru: 3*(2*1 + 2*2 + 2) = 24 ; readout: 2*2 + 2 = 6
-    assert parameter_count(build(cfg, Prng(6))) == 2 + 24 + 6
+    assert _parameter_count(build(cfg, Prng(6))) == 2 + 24 + 6
 
     full = build(default_config("chrononet"), Prng(6))
     total = 0
@@ -178,7 +182,7 @@ def test_parameter_count_closed_form():
         total += 3 * (w * prev + w * w + w)
         prev = sum(widths[: i + 1])
     total += 2 * 32 + 2  # readout consumes only the last layer's output
-    assert parameter_count(full) == total
+    assert _parameter_count(full) == total
 
 
 def test_named_parameters_stable_names():

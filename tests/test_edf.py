@@ -271,6 +271,11 @@ def test_writer_rejects_ragged_input():
         recording_from_arrays([np.zeros(100)], ["A", "B"], 100.0)
 
 
+def test_writer_rejects_no_channels():
+    with pytest.raises(DataError, match="no channels"):
+        recording_from_arrays([], [], 100.0)
+
+
 def test_writer_checks_digital_values(tmp_path):
     rec = recording_from_arrays([np.zeros(100)], ["A"], 100.0)
     sig = rec.signals[0]

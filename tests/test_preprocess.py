@@ -211,6 +211,24 @@ def test_cut_keeps_enough_input_at_a_high_rate():
     assert session.record_count == 60 * rate
 
 
+def test_cut_gives_signals_of_every_rate_the_same_records():
+    # Two 256 Hz signals and an unused 100 Hz one, 700 s long: every signal
+    # keeps the same leading records, and the windows are the uncut ones.
+    rng = np.random.default_rng(700)
+    rec = recording_from_arrays(rng.normal(scale=40.0, size=(2, 700 * 256)),
+                                ["EEG A-REF", "EEG B-REF"], 256.0)
+    rec.signals.append(recording_from_arrays(
+        [rng.normal(scale=40.0, size=700 * 100)], ["EEG C-REF"], 100.0).signals[0])
+    for split, records in (("train", 661), ("test", 61)):
+        (whole, whole_w, _), (cut, cut_w, session) = _windows_with_and_without_cut(
+            rec, split, [MontagePair("A", "B", "A-B")])
+        assert session.record_count == records
+        assert [sig.digital.shape[0] for sig in session.signals] == \
+            [records * 256, records * 256, records * 100]
+        assert len(cut_w) == len(whole_w) and np.array_equal(cut, whole)
+        assert all(np.array_equal(a, b) for a, b in zip(cut_w, whole_w))
+
+
 def test_cut_leaves_sessions_without_windows_whole():
     rec = recording_from_arrays(np.zeros((2, 30 * 512)), ["EEG A-REF", "EEG B-REF"], 512.0)
     for split in ("train", "test"):

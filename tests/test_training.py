@@ -361,6 +361,22 @@ def test_labels_outside_model_classes_are_errors():
         train(model, (x[:4], np.array([0, 1, -1, 0])), TrainConfig(epochs=1))
 
 
+def test_fractional_and_nan_labels_are_errors():
+    x, y = tiny_dataset()
+    model = build(small_config(), Prng(0))
+    before = _parameters(model)
+    for value in (0.5, np.nan):
+        bad = y.astype(np.float64)
+        bad[3], bad[5] = value, 2.5  # the first bad label is named
+        with pytest.raises(DataError, match=f"training set: label {value:g} outside"):
+            train(model, (x, bad), TrainConfig(batch_size=8, epochs=1))
+        with pytest.raises(DataError, match=f"evaluation set: label {value:g} outside"):
+            evaluate(model, (x, bad))
+    assert _unchanged(model, before)
+    # whole-number float labels are class indices
+    assert evaluate(model, (x, y.astype(np.float64))) == evaluate(model, (x, y))
+
+
 def test_label_count_must_match_sample_count():
     x, y = tiny_dataset(32)
     model = build(small_config(), Prng(0))
@@ -476,7 +492,7 @@ def test_cross_validate_smoke():
     folds = cross_validate(mcfg, tcfg, (x, y), groups, k=5)
     assert [f.fold for f in folds] == [0, 1, 2, 3, 4]
     assert all(0.0 <= f.test_acc <= 1.0 for f in folds)
-    assert sum(f.test_size for f in folds) == 20
+    assert sum(test.size for _, test in kfold(groups, 5, tcfg.seed)) == 20
     mean, lo, hi = summarize_folds(folds)
     assert lo <= mean <= hi
 
