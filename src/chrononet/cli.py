@@ -183,16 +183,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = ckpt.load_checkpoint(args.checkpoint).model
     dataset = container.import_dataset(args.data)
-    check_data(model.config, (dataset.samples, dataset.labels), args.data)
-    if len(dataset) == 0:
-        raise ContractError("cannot evaluate an empty dataset")
+    x, y = check_data(model.config, (dataset.samples, dataset.labels), args.data)
     k = model.config.num_classes
     _keep_freed_heap()   # as in train: predict's freed slabs stay in the heap
-    preds = predict(model, dataset.samples)
-    accuracy = float((preds == dataset.labels).mean())
+    preds = predict(model, x)
+    accuracy = float((preds == y).mean())
     print(f"accuracy {accuracy:.4f}")
     confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(dataset.labels, preds):
+    for t, p in zip(y, preds):
         confusion[t, p] += 1
     for t in range(k):
         counts = " ".join(str(confusion[t, p]) for p in range(k))

@@ -29,6 +29,29 @@ STATS_FLAG = 2
 LABEL_MAX = 0xFFFF  # a record's label is a u16
 
 
+def class_labels(labels, classes: int, error: str) -> np.ndarray:
+    """``labels`` as int64, if each is a class index: an integer value, not NaN,
+    in [0, classes); integer arrays take only the range test. Else a DataError,
+    ``error`` formatted with the first fraction or NaN, else the extreme label."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu":
+        y = np.asarray(y, dtype=np.float64)
+        fractions = np.flatnonzero(y != np.floor(y))  # NaN included
+        if fractions.size:
+            raise DataError(error.format(y[fractions[0]]))
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise DataError(error.format(y.max() if y.max() >= classes else y.min()))
+    return y.astype(np.int64, copy=False)
+
+
+def check_group_id(gid: str, name: str) -> None:
+    """Refuse an id the one-id-per-line groups sidecar cannot hold; errors begin with ``name``."""
+    if not gid.strip():
+        raise DataError(f"{name} must not be empty")
+    if "\n" in gid or "\r" in gid:
+        raise DataError(f"{name} {gid!r} has a line break")
+
+
 @dataclass
 class Dataset:
     samples: np.ndarray  # (n, channels, length) float32
@@ -37,7 +60,8 @@ class Dataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = class_labels(self.labels, LABEL_MAX + 1,
+                                   f"label {{:g}} is not a class index in [0, {LABEL_MAX}]")
         if self.samples.ndim != 3:
             raise DataError(f"samples must be (n, channels, length), got {self.samples.shape}")
         if self.labels.shape != (self.samples.shape[0],):
@@ -77,8 +101,9 @@ def _record_dtype(channels: int, length: int) -> np.dtype:
 
 def export_dataset(path, dataset: Dataset) -> None:
     n, channels, length = dataset.samples.shape
-    if dataset.labels.size and (dataset.labels.min() < 0 or dataset.labels.max() > LABEL_MAX):
-        raise DataError("labels must fit an unsigned 16-bit field")
+    class_labels(dataset.labels, LABEL_MAX + 1, "labels must fit an unsigned 16-bit field")
+    for i, gid in enumerate(dataset.groups or ()):
+        check_group_id(gid, f"group id {i}")
     records = np.empty(n, dtype=_record_dtype(channels, length))
     records["label"] = dataset.labels
     records["x"] = dataset.samples
@@ -119,7 +144,6 @@ def import_dataset(path) -> Dataset:
         for label, x in zip(labels, samples):
             f.readinto(label)
             f.readinto(x)
-    labels = labels[:, 0].astype(np.int64)
 
     groups = None
     gpath = groups_path(path)
@@ -128,7 +152,7 @@ def import_dataset(path) -> Dataset:
             groups = [line.rstrip("\n") for line in f if line.strip()]
         if len(groups) != n:
             raise FormatError(f"groups sidecar lists {len(groups)} ids for {n} samples")
-    return Dataset(samples, labels, groups)
+    return Dataset(samples, labels[:, 0], groups)
 
 
 def save_stats(path, mean: np.ndarray, std: np.ndarray) -> None:
@@ -178,28 +202,20 @@ def read_manifest(path, edf_dir) -> list[ManifestEntry]:
             if len(row) != 4:
                 raise FormatError(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
             file_path, label_text, patient, split = (field.strip() for field in row)
-            if not patient:
-                raise DataError(f"manifest line {lineno}: patient_id must not be empty")
-            if "\n" in patient or "\r" in patient:  # the groups sidecar holds one id per line
-                raise DataError(f"manifest line {lineno}: patient_id {patient!r} has a line break")
+            check_group_id(patient, f"manifest line {lineno}: patient_id")
             real = os.path.realpath(os.path.join(edf_dir, file_path))
             first = listed.setdefault(real, lineno)
             if first != lineno:
                 raise DataError(f"manifest line {lineno}: {file_path!r} is listed on line "
                                 f"{first}, both {real!r}")
             label_text = label_text.lower()
-            if label_text in LABEL_NAMES:
-                label = LABEL_NAMES[label_text]
-            else:
-                try:
-                    label = int(label_text)
-                except ValueError:
-                    raise DataError(f"manifest line {lineno}: label must be "
-                                    f"normal/abnormal or a class index, got {label_text!r}") \
-                        from None
-                if not 0 <= label <= LABEL_MAX:
-                    raise DataError(f"manifest line {lineno}: class index must be in "
-                                    f"[0, {LABEL_MAX}], got {label}")
+            try:
+                label = LABEL_NAMES[label_text] if label_text in LABEL_NAMES else int(label_text)
+            except ValueError:
+                raise DataError(f"manifest line {lineno}: label must be "
+                                f"normal/abnormal or a class index, got {label_text!r}") from None
+            class_labels(label, LABEL_MAX + 1, f"manifest line {lineno}: class index must be "
+                                               f"in [0, {LABEL_MAX}], got {{}}")
             if split not in ("train", "test"):
                 raise DataError(f"manifest line {lineno}: split must be train or test, "
                                 f"got {split!r}")

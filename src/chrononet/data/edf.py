@@ -29,8 +29,8 @@ _FIXED_FIELDS = (
     ("version", 8, None),
     ("patient_id", 80, str),
     ("recording_id", 80, str),
-    ("start_date", 8, str),
-    ("start_time", 8, str),
+    ("start_date", 8, None),
+    ("start_time", 8, None),
     ("header_bytes", 8, None),
     ("reserved", 44, None),
     ("record_count", 8, int),
@@ -81,8 +81,6 @@ class EdfSignal:
 class EdfRecording:
     patient_id: str
     recording_id: str
-    start_date: str
-    start_time: str
     record_count: int
     record_duration: float
     signals: list[EdfSignal]
@@ -190,8 +188,6 @@ def read_edf(path) -> EdfRecording:
     for sig in rec.signals:
         sig.digital = table[:, col:col + sig.samples_per_record].reshape(-1)
         col += sig.samples_per_record
-    rec.start_date = rec.start_date or "01.01.01"
-    rec.start_time = rec.start_time or "00.00.00"
     return rec
 
 
@@ -222,8 +218,8 @@ def write_edf(path, rec: EdfRecording) -> None:
                             f"[{sig.digital_min}, {sig.digital_max}]")
 
     # fields neither class holds are written as these values, or blank
-    head = {**vars(rec), "version": "0", "signal_count": ns,
-            "header_bytes": HEADER_SIZE + ns * SIGNAL_HEADER_SIZE}
+    head = {**vars(rec), "version": "0", "start_date": "01.01.01", "start_time": "00.00.00",
+            "signal_count": ns, "header_bytes": HEADER_SIZE + ns * SIGNAL_HEADER_SIZE}
     parts = [_field_bytes(head.get(name, ""), width, name) for name, width, _ in _FIXED_FIELDS]
     parts += [_field_bytes(getattr(sig, name, ""), width, name)
               for name, width, _ in _SIGNAL_FIELDS for sig in rec.signals]
@@ -275,5 +271,4 @@ def recording_from_arrays(arrays, labels, rate_hz: float, patient_id: str = "X",
         sig.digital = d.astype("<i2")
         signals.append(sig)
     return EdfRecording(patient_id=patient_id, recording_id=recording_id,
-                        start_date="01.01.01", start_time="00.00.00",
                         record_count=n // spr, record_duration=1.0, signals=signals)

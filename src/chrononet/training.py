@@ -10,6 +10,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .architectures import Model, ModelConfig, build, forward
+from .data.container import class_labels
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .tensor import Graph, Prng, Tensor, backward, make_op
 
@@ -76,10 +77,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     b, k = logits.shape
     if labels.shape != (b,):
         raise ContractError(f"labels must have shape ({b},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = labels[(labels < 0) | (labels >= k)][0]
-        raise DataError(f"label {bad} outside [0, {k})")
-    labels = labels.astype(np.int64)
+    labels = class_labels(labels, k, f"label {{:g}} outside [0, {k})")
 
     z = logits.data
     shifted = z - z.max(axis=1, keepdims=True)
@@ -190,23 +188,21 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 def check_data(config: ModelConfig, data, name: str) -> tuple[np.ndarray, np.ndarray]:
     """``data`` as (samples, int64 labels), if a ``config`` model accepts it:
-    (N, channels, length) samples with the model's channels, one label per
-    sample, each one of the model's classes. Errors name the data ``name``
-    and a bad label: the first fraction or NaN, else the extreme one."""
-    x, y = np.asarray(data[0]), np.asarray(data[1], dtype=np.float64)
+    at least one (channels, length) sample with the model's channels, one
+    label per sample, each one of the model's classes. Errors name the data
+    ``name`` and a bad label (``class_labels``)."""
+    x, y = np.asarray(data[0]), np.asarray(data[1])
     if x.ndim != 3:
         raise ShapeError(f"{name}: samples must be (N, channels, length), got {x.shape}")
+    if x.shape[0] == 0:
+        raise DataError(f"{name} is empty")
     if y.shape != x.shape[:1]:
         raise DataError(f"{name}: {x.shape[0]} samples but labels of shape {y.shape}")
     if x.shape[1] != config.input_channels:
         raise ConfigError(f"model expects {config.input_channels} channels, "
                           f"{name} has {x.shape[1]}")
     k = config.num_classes
-    bad = np.flatnonzero(y != np.floor(y))  # fractions and NaN
-    if bad.size or y.size and (y.min() < 0 or y.max() >= k):
-        v = y[bad[0]] if bad.size else y.max() if y.max() >= k else y.min()
-        raise DataError(f"{name}: label {v:g} outside the model's {k} classes")
-    return x, y.astype(np.int64)
+    return x, class_labels(y, k, f"{name}: label {{:g}} outside the model's {k} classes")
 
 
 def _keep_freed_heap() -> None:
@@ -264,12 +260,8 @@ def train(model: Model, train_data, cfg: TrainConfig, test_data=None,
     if best_checkpoint_path is not None and test_data is None:
         raise ConfigError("a best checkpoint is chosen by test accuracy and needs test data")
     x, y = check_data(model.config, train_data, "training set")
-    if x.shape[0] == 0:
-        raise DataError("training set is empty")
     if test_data is not None:
         test_data = check_data(model.config, test_data, "test set")
-        if test_data[0].shape[0] == 0:
-            raise ContractError("cannot evaluate an empty dataset")
     n = x.shape[0]
     x = x.astype(model.config.dtype, copy=False)
     _keep_freed_heap()
@@ -322,8 +314,6 @@ def predict(model: Model, x: np.ndarray) -> np.ndarray:
 
 def evaluate(model: Model, data) -> float:
     x, y = check_data(model.config, data, "evaluation set")
-    if x.shape[0] == 0:
-        raise ContractError("cannot evaluate an empty dataset")
     return float((predict(model, x) == y).mean())
 
 

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import chrononet
 from chrononet import checkpoint as ckpt
 from chrononet import cli, training
 from chrononet.architectures import ARCHITECTURES, build, default_config
@@ -231,6 +235,26 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert snapshot.model.config.input_channels == 2
 
 
+@pytest.mark.parametrize("arch,channels,per_class,batch", [("crnn", 2, 32, 64),
+                                                          ("chrononet", 22, 8, 8)])
+def test_train_bits_equal_under_one_and_two_blas_threads(tmp_path, arch, channels,
+                                                         per_class, batch):
+    # README: at these shapes the checkpoint does not depend on the BLAS thread count
+    data = synth_container(tmp_path, per_class=per_class, length=256,
+                           extra=["--channels", str(channels)])
+    src = os.path.dirname(os.path.dirname(chrononet.__file__))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.cncp"
+        subprocess.run([sys.executable, "-m", "chrononet.cli", "train", "--data", str(data),
+                        "--arch", arch, "--batch", str(batch), "--epochs", "2", "--seed", "7",
+                        "--checkpoint", str(out), "--metrics", str(tmp_path / "m.csv")],
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_train_metrics_deterministic(tmp_path):
     data = synth_container(tmp_path)
     a = tmp_path / "a"
@@ -406,6 +430,17 @@ def test_eval_rejects_labels_beyond_checkpoint_classes(tmp_path, capsys):
     assert "data error" in err and "label 5" in err
 
 
+def test_eval_empty_dataset_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "m.cncp"
+    model = build(default_config("crnn", input_channels=2), Prng(0))
+    ckpt.save_checkpoint(path, ckpt.Checkpoint(model))
+    empty = tmp_path / "empty.cnds"
+    container.export_dataset(empty, container.Dataset(np.zeros((0, 2, 64), np.float32),
+                                                      np.zeros(0, np.int64)))
+    assert main(["eval", "--checkpoint", str(path), "--data", str(empty)]) == 2
+    assert f"data error: {empty} is empty" in capsys.readouterr().err
+
+
 def test_eval_corrupt_checkpoint_config_is_a_format_error(tmp_path, capsys):
     data = synth_container(tmp_path, per_class=2)
     path = tmp_path / "m.cncp"
@@ -439,9 +474,9 @@ def test_train_empty_test_set_fails_before_training(tmp_path, capsys):
                                                       np.zeros(0, np.int64)))
     for extra in ([], ["--best-checkpoint", str(tmp_path / "best.cncp")]):
         capsys.readouterr()
-        assert run_train(tmp_path, data, ["--test", str(empty), *extra]) == 1
+        assert run_train(tmp_path, data, ["--test", str(empty), *extra]) == 2
         captured = capsys.readouterr()
-        assert "cannot evaluate an empty dataset" in captured.err
+        assert "test set is empty" in captured.err
         assert "epoch" not in captured.out
         assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.cncp"))
 

@@ -83,6 +83,15 @@ def test_label_range_enforced(tmp_path):
         export_dataset(tmp_path / "x.cnds", ds)
 
 
+@pytest.mark.parametrize("gid", ["a\nb", "", " "], ids=["line-break", "empty", "blank"])
+def test_export_refuses_group_ids_the_sidecar_cannot_hold(tmp_path, gid):
+    ds = sample_dataset(n=2)
+    ds.groups = [gid, "c"]
+    with pytest.raises(DataError, match="group id 0 "):
+        export_dataset(tmp_path / "x.cnds", ds)
+    assert os.listdir(tmp_path) == []
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "junk.cnds"
     path.write_bytes(b"WHAT" + b"\x00" * 40)

@@ -74,7 +74,7 @@ def test_bytes_follow_documented_layout(tmp_path):
     signals = [EdfSignal(label, dim, *r, spr, d)
                for label, dim, r, spr, d in zip(("EEG A-REF", "EEG B-REF"), ("uV", "mV"),
                                                 ranges, (3, 2), digital)]
-    rec = EdfRecording("P 7", "R 9", "02.03.04", "05.06.07", 2, 0.5, signals)
+    rec = EdfRecording("P 7", "R 9", 2, 0.5, signals)
     path = tmp_path / "layout.edf"
     write_edf(path, rec)
 
@@ -82,7 +82,7 @@ def test_bytes_follow_documented_layout(tmp_path):
         return text.encode("ascii").ljust(width)
 
     expected = b"".join(field(t, w) for t, w in (
-        ("0", 8), ("P 7", 80), ("R 9", 80), ("02.03.04", 8), ("05.06.07", 8),
+        ("0", 8), ("P 7", 80), ("R 9", 80), ("01.01.01", 8), ("00.00.00", 8),
         ("768", 8), ("", 44), ("2", 8), ("0.5", 8), ("2", 4)))
     for width, texts in ((16, ("EEG A-REF", "EEG B-REF")), (80, ("", "")), (8, ("uV", "mV")),
                          (8, ("-500", "-2.5")), (8, ("500", "2.5")), (8, ("-2048", "-100")),

@@ -10,6 +10,7 @@ import pytest
 import chrononet
 from chrononet import training
 from chrononet.architectures import ConvBlockSpec, ModelConfig, build, forward
+from chrononet.data.container import Dataset
 from chrononet.errors import ConfigError, ContractError, DataError
 from chrononet.tensor import Graph, Prng, Tensor, backward
 from chrononet.training import (METRICS_HEADER, AdamState, TrainConfig,
@@ -312,7 +313,7 @@ def test_predict_and_evaluate(monkeypatch):
     assert preds.dtype == np.int64
     acc = evaluate(model, (x, y))
     assert acc == np.mean(preds == y)
-    with pytest.raises(ContractError):
+    with pytest.raises(DataError):
         evaluate(model, (x[:0], y[:0]))
 
 
@@ -375,6 +376,36 @@ def test_fractional_and_nan_labels_are_errors():
     assert _unchanged(model, before)
     # whole-number float labels are class indices
     assert evaluate(model, (x, y.astype(np.float64))) == evaluate(model, (x, y))
+
+
+@pytest.mark.parametrize("entry", ["training set", "test set", "evaluation set", "dataset",
+                                   "Dataset", "softmax_cross_entropy"])
+def test_entry_points_refuse_empty_sets_and_labels_that_are_not_class_indices(entry):
+    x, y = tiny_dataset()
+    model = build(small_config(), Prng(0))
+    cfg = TrainConfig(batch_size=8, epochs=1)
+    call = {
+        "training set": lambda xs, ys: train(model, (xs, ys), cfg),
+        "test set": lambda xs, ys: train(model, (x, y), cfg, test_data=(xs, ys)),
+        "evaluation set": lambda xs, ys: evaluate(model, (xs, ys)),
+        "dataset": lambda xs, ys: cross_validate(small_config(), cfg, (xs, ys),
+                                                 [f"p{i % 2}" for i in range(len(ys))], k=2),
+        "Dataset": Dataset,
+        "softmax_cross_entropy":
+            lambda xs, ys: softmax_cross_entropy(Tensor(np.zeros((len(ys), 2))), ys),
+    }[entry]
+    if entry == "Dataset":
+        assert len(call(x[:0], y[:0])) == 0   # a container may hold no samples
+    elif entry != "softmax_cross_entropy":
+        with pytest.raises(DataError, match=f"^{entry} is empty$"):
+            call(x[:0], y[:0])
+    for value in (0.5, np.nan):
+        bad = y.astype(np.float64)
+        bad[3] = value
+        with pytest.raises(DataError, match=f"label {value:g} "):
+            call(x, bad)
+    for good in (y, y.astype(np.float64)):   # integer and whole-number float labels
+        call(x, good)
 
 
 def test_label_count_must_match_sample_count():
