@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import (
     DenseGruStack,
     InceptionConvBlock,
@@ -161,11 +161,6 @@ def forward(model: Model, batch: Tensor) -> Tensor:
     logits stay usable for numerically stable cross-entropy.
     """
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
-    if x.data.ndim != 3:
-        raise ShapeError(f"model input must be (batch, channels, time), got {x.shape}")
-    if x.shape[1] != model.config.input_channels:
-        raise ShapeError(
-            f"model expects {model.config.input_channels} input channels, got {x.shape[1]}")
     if x.data.dtype != model.config.dtype:
         x = Tensor(x.data.astype(model.config.dtype), requires_grad=x.requires_grad)
     for block in model.conv_blocks:

@@ -122,6 +122,16 @@ def _train_config(args) -> TrainConfig:
         grad_clip="grad_clip")).validate()
 
 
+def _check_outputs(args, *dests) -> None:
+    """Refuse an output path whose directory is missing or not writable."""
+    for dest in dests:
+        path = getattr(args, dest)
+        where = os.path.dirname(path or "") or "."
+        if path is not None and not (os.path.isdir(where) and os.access(where, os.W_OK | os.X_OK)):
+            raise DataError(f"--{dest.replace('_', '-')} {path}: directory {where!r} "
+                            "is missing or not writable")
+
+
 def _infer_classes(args, labels: np.ndarray) -> int:
     if args.classes is not None:
         return args.classes
@@ -145,6 +155,7 @@ def cmd_train(args) -> int:
                           "metrics": "metrics.csv"})
     if args.repeats < 1:
         raise ConfigError(f"repeats must be positive, got {args.repeats}")
+    _check_outputs(args, "checkpoint", "best_checkpoint", "metrics")
     dataset = container.import_dataset(args.data)
     num_classes = _infer_classes(args, dataset.labels)
     model_cfg = _model_config(args, dataset.samples.shape[1], num_classes)
@@ -220,6 +231,7 @@ def class_rates(confusion: np.ndarray) -> list[str]:
 def cmd_cv(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"jobs must be positive, got {args.jobs}")
+    _check_outputs(args, "out")
     dataset = container.import_dataset(args.data)
     if dataset.groups is None:
         raise DataError(f"{args.data} has no groups sidecar; cross-validation needs "
@@ -250,6 +262,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     _fill_defaults(args, {"per_class": 32})
+    _check_outputs(args, "out")
     spec = synthetic.SyntheticSpec(**_given(
         args, num_classes="classes", length="length", channels="channels",
         noise="noise", marginal_leak="leak", n_groups="groups", seed="seed",
@@ -289,6 +302,7 @@ def _prepare_session(path, split: str, pairs) -> list[np.ndarray]:
 
 
 def cmd_prepare(args) -> int:
+    _check_outputs(args, "out")
     entries = container.read_manifest(args.manifest, args.edf_dir)
     if not entries:
         raise DataError(f"{args.manifest}: manifest lists no sessions")

@@ -45,14 +45,15 @@ every branch's bias gradient.  The input gradient is a transposed view of
 the padded gradient rows; the block below copies it into its own buffer.
 
 Each parameter bundle has an ``init`` that draws Glorot weights in a fixed
-order and zero biases; ``DenseGruStack`` alone owns the wiring rule.
+order and zero biases; ``DenseGruStack.init`` alone owns the wiring rule.
+``build`` makes every bundle from a config ``ModelConfig.validate`` has passed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .tensor import (
     Prng,
     Tensor,
@@ -91,15 +92,6 @@ class GruParams:
     W: Tensor
     U: Tensor
     b: Tensor
-
-    def __post_init__(self):
-        if self.W.data.ndim != 2 or self.W.shape[0] % 3:
-            raise ConfigError(f"gru input matrix must be (3m, n), got {self.W.shape}")
-        m = self.hidden_size
-        if self.U.shape != (3 * m, m):
-            raise ConfigError(f"gru recurrent matrix must be {(3 * m, m)}, got {self.U.shape}")
-        if self.b.shape != (3 * m,):
-            raise ConfigError(f"gru bias must have length {3 * m}, got {self.b.shape}")
 
     @property
     def hidden_size(self) -> int:
@@ -140,25 +132,6 @@ class InceptionConvBlock:
     biases: list[Tensor]
     stride: int
 
-    def __post_init__(self):
-        if not self.kernels:
-            raise ConfigError("inception block needs at least one branch")
-        if len(self.biases) != len(self.kernels):
-            raise ConfigError(f"{len(self.kernels)} kernels but {len(self.biases)} biases")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        for w, b in zip(self.kernels, self.biases):
-            if w.data.ndim != 3:
-                raise ConfigError(f"conv kernels must be 3-axis, got shape {w.shape}")
-            out_ch, in_ch, k = w.shape
-            if b.shape != (out_ch,):
-                raise ConfigError(f"conv bias must have length {out_ch}, got {b.shape}")
-            if k < 1:
-                raise ConfigError(f"kernel length must be >= 1, got {k}")
-            if in_ch != self.in_channels:
-                raise ConfigError(
-                    f"inception branches must share in_channels: {self.in_channels} vs {in_ch}")
-
     @property
     def in_channels(self) -> int:
         return self.kernels[0].shape[1]
@@ -197,22 +170,6 @@ class DenseGruStack:
     layers: list[GruParams]
     dense: bool = False
 
-    @staticmethod
-    def _input_widths(input_size: int, widths, dense: bool) -> list[int]:
-        """The input width the wiring gives each layer of the given widths."""
-        return [input_size] + [sum(widths[:k]) if dense else widths[k - 1]
-                               for k in range(1, len(widths))]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("gru stack needs at least one layer")
-        expected = self._input_widths(self.layers[0].input_size,
-                                      [p.hidden_size for p in self.layers], self.dense)
-        for k, (p, n) in enumerate(zip(self.layers, expected)):
-            if p.input_size != n:
-                raise ConfigError(
-                    f"gru layer {k} declares input width {p.input_size}, wiring provides {n}")
-
     def tensors(self) -> list[tuple[str, Tensor]]:
         out = []
         for k, p in enumerate(self.layers):
@@ -223,7 +180,8 @@ class DenseGruStack:
     def init(cls, prng: Prng, input_size: int, widths, dense: bool,
              dtype=np.float32) -> "DenseGruStack":
         # Draws layer by layer, each in GruParams.init's order.
-        sizes = cls._input_widths(input_size, widths, dense)
+        sizes = [input_size] + [sum(widths[:k]) if dense else widths[k - 1]
+                                for k in range(1, len(widths))]
         return cls([GruParams.init(prng, n, m, dtype) for n, m in zip(sizes, widths)], dense)
 
 

@@ -58,6 +58,16 @@ def test_config_validation_names_fields():
         ModelConfig(architecture="crnn", input_channels=2,
                     conv_blocks=[ConvBlockSpec((4,), 8, 0)],
                     gru_widths=[8], num_classes=2).validate()
+    # rules that only validate checks: the layer bundles trust what build made
+    for field, blocks, widths in (
+            (r"conv_blocks\[0\]\.kernel_lengths", [ConvBlockSpec((0,), 8, 2)], [8]),
+            (r"conv_blocks\[1\]\.filters_per_kernel",
+             [ConvBlockSpec((4,), 8, 2), ConvBlockSpec((4,), 0, 2)], [8]),
+            ("gru_widths", [ConvBlockSpec((4,), 8, 2)], [8, 0]),
+            ("conv_blocks", [], [8])):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(architecture="crnn", input_channels=2, conv_blocks=blocks,
+                        gru_widths=widths, num_classes=2).validate()
 
 
 def test_conv_stage_shapes_default():

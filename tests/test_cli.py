@@ -542,6 +542,30 @@ def test_train_rejects_zero_repeats_before_reading_data(tmp_path, monkeypatch, c
     assert main(["train", "--data", "missing.cnds", "--repeats", "0"]) == 1
 
 
+def test_unwritable_output_paths_fail_before_reading_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # every input named here is missing: an error about the output path
+    # shows that no input was read first
+    train = ["train", "--data", "missing.cnds"]
+    cases = [
+        (train + ["--checkpoint", "nodir/m.cncp"], "--checkpoint nodir/m.cncp"),
+        (train + ["--best-checkpoint", "nodir/b.cncp"], "--best-checkpoint nodir/b.cncp"),
+        (train + ["--metrics", "nodir/m.csv"], "--metrics nodir/m.csv"),
+        (train + ["--checkpoint", "afile/m.cncp"], "--checkpoint afile/m.cncp"),
+        (["cv", "--data", "missing.cnds", "--out", "nodir/f.csv"], "--out nodir/f.csv"),
+        (["prepare", "--edf-dir", "edf", "--manifest", "missing.csv", "--out", "nodir/p"],
+         "--out nodir/p"),
+        (["synth", "--out", "nodir/s.cnds"], "--out nodir/s.cnds"),
+    ]
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {named}: directory "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # cv
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chrononet.errors import ConfigError, DataError, ShapeError
+from chrononet.errors import DataError, ShapeError
 from chrononet.layers import (DenseGruStack, GruParams,
                               InceptionConvBlock, connection_count,
                               conv1d_output_length,
@@ -12,7 +12,8 @@ from chrononet.layers import (DenseGruStack, GruParams,
                               gru_layer_forward, gru_step,
                               inception_conv1d_forward, last_time_step,
                               linear_forward)
-from chrononet.tensor import Graph, Prng, Tensor, backward, mul, tsum
+from chrononet.tensor import (Graph, Prng, Tensor, add, backward, mul, reshape,
+                              slice_axis, tsum)
 
 
 def sigmoid(x):
@@ -51,17 +52,6 @@ def test_gru_init_draws_like_per_gate_glorot():
     assert p.W.data.tobytes() == np.concatenate(W).tobytes()
     assert p.U.data.tobytes() == np.concatenate(U).tobytes()
     assert p.b.data.shape == (12,) and np.all(p.b.data == 0)
-
-
-def test_param_bundle_validation():
-    good = dict(GruParams.zeros(3, 4).tensors())
-    for name, shape in (("W", (11, 3)), ("U", (12, 3)), ("b", (4,))):
-        with pytest.raises(ConfigError):
-            GruParams(**{**good, name: Tensor(np.zeros(shape))})
-    with pytest.raises(ConfigError):
-        InceptionConvBlock([Tensor(np.zeros((2, 3)))], [Tensor(np.zeros(2))], 1)
-    with pytest.raises(ConfigError):
-        InceptionConvBlock([Tensor(np.zeros((2, 3, 4)))], [Tensor(np.zeros(2))], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +599,6 @@ def test_conv_input_gradient_only_when_required():
         assert np.array_equal(grads[False][t], grads[True][t])
 
 
-def test_inception_rejects_mismatched_branches():
-    a = InceptionConvBlock.init(Prng(15), 2, 3, (2,), 1)
-    b = InceptionConvBlock.init(Prng(15), 3, 3, (4,), 1)
-    with pytest.raises(ConfigError, match="in_channels"):
-        InceptionConvBlock(a.kernels + b.kernels, a.biases + b.biases, 1)
-    with pytest.raises(ConfigError, match="2 kernels but 1 biases"):
-        InceptionConvBlock(a.kernels * 2, a.biases, 1)
-    with pytest.raises(ConfigError, match="1 kernels but 2 biases"):
-        InceptionConvBlock(a.kernels, a.biases * 2, 1)
-
-
 def test_inception_init_draws_like_per_branch_glorot():
     block = InceptionConvBlock.init(Prng(30), 3, 4, (2, 4, 8), 2, dtype=np.float64)
     prng = Prng(30)
@@ -892,14 +871,6 @@ def test_single_layer_stack_is_gru_layer():
                        gru_layer_forward(stack.layers[0], seq).data)
 
 
-def test_stack_rejects_bad_wiring():
-    prng = Prng(19)
-    with pytest.raises(ConfigError):
-        DenseGruStack([GruParams.init(prng, 2, 3), GruParams.init(prng, 5, 3)], dense=False)
-    with pytest.raises(ConfigError):
-        DenseGruStack([], dense=True)
-
-
 def test_zero_param_stack_outputs_zero_any_wiring():
     for dense in (False, True):
         widths = [3, 3, 6] if dense else [3, 3, 3]
@@ -959,11 +930,9 @@ def test_fused_gru_gradient_matches_composed_path():
         h = Tensor(np.zeros((2, 3)))
         total = None
         for t in range(4):
-            from chrononet.tensor import slice_axis, reshape
             x_t = reshape(slice_axis(seq_steps, 2, t, t + 1), (2, 2))
             h, _, _, _ = gru_step(p, x_t, h)
-            total = tsum(h) if total is None else __import__(
-                "chrononet.tensor", fromlist=["add"]).add(total, tsum(h))
+            total = tsum(h) if total is None else add(total, tsum(h))
         loss2 = total
     g2_map = backward(loss2, g2)
 
